@@ -39,6 +39,11 @@ let to_list (mask : t) =
 
 let of_list lanes = List.fold_left add empty lanes
 
+let of_bits bits : t =
+  (* on a 63-bit int this also rejects negative [bits] *)
+  if bits lsr max_lanes <> 0 then invalid_arg "Mask.of_bits";
+  bits
+
 let iter f (mask : t) =
   let m = ref mask and lane = ref 0 in
   while !m <> 0 do

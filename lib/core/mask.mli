@@ -32,6 +32,11 @@ val to_list : t -> int list
 
 val of_list : int list -> t
 
+(** [of_bits b] — the mask whose active lanes are the set bits of [b] (the
+    inverse of [(m :> int)]); raises [Invalid_argument] if [b] sets a bit
+    at or above {!max_lanes}. *)
+val of_bits : int -> t
+
 val iter : (int -> unit) -> t -> unit
 
 (** [fold f acc m] — left fold over the active lanes, ascending;

@@ -117,6 +117,9 @@ type sm = {
   mutable log_n : int;
   (* actual completion cycle of the SM's slowest DRAM-bound response *)
   mutable mem_tail : int;
+  (* buffer for the distinct 32 B lines of one memory op, reused across
+     ops (grow-by-doubling) *)
+  mutable lines : int array;
 }
 
 let no_access = { a_ts = 0; a_sm = 0; a_line = 0 }
@@ -132,38 +135,54 @@ let log_access sm line =
   sm.log.(sm.log_n) <- { a_ts = sm.now; a_sm = sm.sm_id; a_line = line };
   sm.log_n <- sm.log_n + 1
 
-let lines_of_mem (m : Warp_trace.mem_op) =
-  let lines = ref [] in
-  Array.iter
-    (fun addr ->
-      if addr >= 0 then begin
-        let first = addr / 32
-        and last = (addr + max 1 m.Warp_trace.size - 1) / 32 in
-        for l = first to last do
-          if not (List.mem l !lines) then lines := l :: !lines
-        done
-      end)
-    m.Warp_trace.addrs;
-  !lines
+(* Collect the distinct 32 B lines a memory op touches into [sm.lines],
+   in order of first appearance; returns how many. *)
+let lines_of_mem sm (m : Warp_trace.mem_op) =
+  let n = ref 0 in
+  let addrs = m.Warp_trace.addrs in
+  for lane = 0 to Array.length addrs - 1 do
+    let addr = addrs.(lane) in
+    if addr >= 0 then
+      for l = addr / 32 to (addr + max 1 m.Warp_trace.size - 1) / 32 do
+        let seen = ref false and i = ref 0 in
+        while (not !seen) && !i < !n do
+          seen := sm.lines.(!i) = l;
+          incr i
+        done;
+        if not !seen then begin
+          if !n = Array.length sm.lines then begin
+            let bigger = Array.make (max 64 (2 * !n)) 0 in
+            Array.blit sm.lines 0 bigger 0 !n;
+            sm.lines <- bigger
+          end;
+          sm.lines.(!n) <- l;
+          incr n
+        end
+      done
+  done;
+  !n
 
 (* Nominal completion cycle of a memory operation issued at [sm.now]:
    each 32 B transaction checks the private L1; misses are logged for the
    epoch merge and charged the contention-free L1+L2 latency.  The op
-   completes when the last transaction does. *)
+   completes when the last transaction does.  Lines are visited in
+   reverse order of first appearance: the L1's LRU state and the access
+   log's order depend on it. *)
 let memory_time (cfg : Config.t) sm (m : Warp_trace.mem_op) =
   let now = sm.now in
-  List.fold_left
-    (fun worst line ->
-      let time =
-        if Cache.access sm.l1 (line * 32) then now + cfg.Config.l1_latency
-        else begin
-          log_access sm line;
-          now + cfg.Config.l1_latency + cfg.Config.l2_latency
-        end
-      in
-      max worst time)
-    (now + cfg.Config.l1_latency)
-    (lines_of_mem m)
+  let worst = ref (now + cfg.Config.l1_latency) in
+  for i = lines_of_mem sm m - 1 downto 0 do
+    let line = sm.lines.(i) in
+    let time =
+      if Cache.access sm.l1 (line * 32) then now + cfg.Config.l1_latency
+      else begin
+        log_access sm line;
+        now + cfg.Config.l1_latency + cfg.Config.l2_latency
+      end
+    in
+    if time > !worst then worst := time
+  done;
+  !worst
 
 let try_issue (cfg : Config.t) sm (w : warp_rt) : issue_result =
   if w.next >= Array.length w.ops then Done
@@ -327,6 +346,7 @@ let run ?(config = Config.rtx3070) ?(domains = 1) ?(epoch = default_epoch)
           log = [||];
           log_n = 0;
           mem_tail = 0;
+          lines = [||];
         })
   in
   Array.iteri
@@ -374,7 +394,9 @@ let run ?(config = Config.rtx3070) ?(domains = 1) ?(epoch = default_epoch)
         active;
       let slice = Array.sub buf 0 total in
       Array.stable_sort
-        (fun a b -> compare (a.a_ts, a.a_sm) (b.a_ts, b.a_sm))
+        (fun a b ->
+          let c = Int.compare a.a_ts b.a_ts in
+          if c <> 0 then c else Int.compare a.a_sm b.a_sm)
         slice;
       Array.iter
         (fun a ->

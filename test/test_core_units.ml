@@ -19,14 +19,20 @@ let test_mask_basics () =
   Alcotest.(check bool) "not mem" false (Mask.mem m 8);
   let m = Mask.remove m 3 in
   Alcotest.(check int) "after remove" 7 (Mask.count m);
-  Alcotest.(check (list int)) "to_list" [ 0; 1; 2; 4; 5; 6; 7 ] (Mask.to_list m)
+  Alcotest.(check (list int)) "to_list" [ 0; 1; 2; 4; 5; 6; 7 ] (Mask.to_list m);
+  Alcotest.(check bool) "of_bits inverts the coercion" true
+    (Mask.of_bits (m :> int) = m)
 
 let test_mask_bounds () =
   Alcotest.check_raises "zero" (Invalid_argument "Mask.full") (fun () ->
       ignore (Mask.full 0));
   Alcotest.check_raises "too wide" (Invalid_argument "Mask.full") (fun () ->
       ignore (Mask.full 63));
-  ignore (Mask.full Mask.max_lanes)
+  ignore (Mask.full Mask.max_lanes);
+  Alcotest.check_raises "of_bits past max_lanes" (Invalid_argument "Mask.of_bits")
+    (fun () -> ignore (Mask.of_bits (1 lsl Mask.max_lanes)));
+  Alcotest.check_raises "of_bits negative" (Invalid_argument "Mask.of_bits")
+    (fun () -> ignore (Mask.of_bits (-1)))
 
 let prop_mask_roundtrip =
   QCheck.Test.make ~name:"mask of_list/to_list" ~count:300
@@ -394,21 +400,41 @@ let test_timeline_off_by_default () =
 module W = Threadfuser_workloads.Workload
 module Registry = Threadfuser_workloads.Registry
 
-let real_warp_trace () =
+let warp_trace ~warp_size ~threads name =
   let r =
     W.analyze
-      ~options:{ Analyzer.default_options with gen_warp_trace = true; warp_size = 8 }
-      ~threads:16 (Registry.find "bfs")
+      ~options:{ Analyzer.default_options with gen_warp_trace = true; warp_size }
+      ~threads (Registry.find name)
   in
   Option.get r.Analyzer.warp_trace
 
-let test_warp_serial_roundtrip () =
-  let wt = real_warp_trace () in
-  let back = Warp_serial.of_string (Warp_serial.to_string wt) in
-  Alcotest.(check int) "warp size" wt.Warp_trace.warp_size back.Warp_trace.warp_size;
-  Alcotest.(check int) "warp count" (Array.length wt.Warp_trace.warps)
+let real_warp_trace () = warp_trace ~warp_size:8 ~threads:16 "bfs"
+
+(* exact both ways: decoding the writer's bytes gives the trace back, and
+   re-encoding the decoded trace gives the same bytes *)
+let check_roundtrip what wt =
+  let s = Warp_serial.to_string wt in
+  let back = Warp_serial.of_string s in
+  Alcotest.(check int) (what ^ ": warp size") wt.Warp_trace.warp_size
+    back.Warp_trace.warp_size;
+  Alcotest.(check int) (what ^ ": warp count") (Array.length wt.Warp_trace.warps)
     (Array.length back.Warp_trace.warps);
-  Alcotest.(check bool) "entries identical" true (wt = back)
+  Alcotest.(check bool) (what ^ ": entries identical") true (wt = back);
+  Alcotest.(check string) (what ^ ": bytes identical") s (Warp_serial.to_string back)
+
+let test_warp_serial_roundtrip () =
+  check_roundtrip "bfs w8" (real_warp_trace ());
+  let wide = warp_trace ~warp_size:32 ~threads:64 "bfs" in
+  let has_mem =
+    Array.exists
+      (fun (w : Warp_trace.warp) ->
+        Array.exists
+          (fun (e : Warp_trace.entry) -> e.Warp_trace.op.Warp_trace.mem <> None)
+          w.Warp_trace.ops)
+      wide.Warp_trace.warps
+  in
+  Alcotest.(check bool) "w32 trace has memory ops" true has_mem;
+  check_roundtrip "bfs w32" wide
 
 let test_warp_serial_file () =
   let wt = real_warp_trace () in
@@ -428,8 +454,85 @@ let test_warp_serial_corrupt () =
   let cut = String.sub s 0 (String.length s / 2) in
   match Warp_serial.of_string cut with
   | exception Warp_serial.Corrupt _ -> ()
-  | exception Failure _ -> () (* int_of_string on a torn token *)
-  | _ -> Alcotest.fail "expected failure on truncation"
+  | _ -> Alcotest.fail "expected Corrupt on truncation"
+
+let test_warp_serial_truncations () =
+  let s = Warp_serial.to_string (real_warp_trace ()) in
+  (* every proper prefix is missing at least the final newline *)
+  for k = 0 to String.length s - 1 do
+    match Warp_serial.of_string (String.sub s 0 k) with
+    | _ -> Alcotest.failf "prefix of %d bytes decoded" k
+    | exception Warp_serial.Corrupt _ -> ()
+    | exception e ->
+        Alcotest.failf "prefix of %d bytes: raised %s, not Corrupt" k
+          (Printexc.to_string e)
+  done
+
+let test_warp_serial_flips () =
+  let s = Warp_serial.to_string (real_warp_trace ()) in
+  let rng = Random.State.make [| 12 |] in
+  for i = 1 to 4000 do
+    let b = Bytes.of_string s in
+    let at = Random.State.int rng (Bytes.length b) in
+    Bytes.set b at (Char.chr (Random.State.int rng 256));
+    (* untrusted bytes give [Corrupt] or a trace, never another exception *)
+    match Warp_serial.of_string (Bytes.to_string b) with
+    | _ | (exception Warp_serial.Corrupt _) -> ()
+    | exception e ->
+        Alcotest.failf "flip %d at byte %d: raised %s, not Corrupt" i at
+          (Printexc.to_string e)
+  done
+
+(* [expect_corrupt ~field s]: [s] fails as [Corrupt] with a message that
+   names [field]. *)
+let expect_corrupt ~field s =
+  match Warp_serial.of_string s with
+  | _ -> Alcotest.failf "decoded %S, expected Corrupt naming %s" s field
+  | exception Warp_serial.Corrupt msg ->
+      let contains hay needle =
+        let n = String.length needle in
+        let rec go i =
+          i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1))
+        in
+        go 0
+      in
+      if not (contains msg field) then
+        Alcotest.failf "Corrupt %S does not name %s" msg field
+
+let one_op ?(warp_size = 8) line =
+  Printf.sprintf "TFWARP1 %d 1\nW 0 1\n%s\n" warp_size line
+
+let test_warp_serial_strict () =
+  (* the templates decode as they stand *)
+  ignore (Warp_serial.of_string (one_op "ff ialu 3 1 2 -"));
+  ignore (Warp_serial.of_string (one_op "ff load 3 0 M L 8 G 0 - - - - - - 1f"));
+  (* mask bits at or above the warp size *)
+  expect_corrupt ~field:"mask" (one_op "100 ialu 3 1 2 -");
+  expect_corrupt ~field:"mask" (one_op "4000000000000000 ialu 3 1 2 -");
+  expect_corrupt ~field:"mask" (one_op ~warp_size:32 "100000000 ialu 3 1 2 -");
+  (* numbers that do not fit an int *)
+  expect_corrupt ~field:"lane address"
+    (one_op "ff load 3 0 M L 8 G 10000000000000000 - - - - - - -");
+  expect_corrupt ~field:"lane address"
+    (one_op "ff load 3 0 M L 8 G 7fffffffffffffff - - - - - - -");
+  expect_corrupt ~field:"mask" (one_op "1000000000000000000 ialu 3 1 2 -");
+  expect_corrupt ~field:"dst" (one_op "ff ialu 99999999999999999999 1 2 -");
+  expect_corrupt ~field:"src" (one_op "ff ialu 3 1 -4611686018427387905 -");
+  (* decimal fields only take decimal digits *)
+  expect_corrupt ~field:"dst" (one_op "ff ialu 0x3 1 2 -");
+  expect_corrupt ~field:"src count" (one_op "ff ialu 3 0b1 2 -");
+  expect_corrupt ~field:"src" (one_op "ff ialu 3 1 1_0 -");
+  expect_corrupt ~field:"access size" (one_op "ff load 3 0 M L 0x8 G - - - - - - - -");
+  expect_corrupt ~field:"warp id" "TFWARP1 8 1\nW 1_0 0\n";
+  expect_corrupt ~field:"warp count" "TFWARP1 8 0b1\nW 0 0\n";
+  expect_corrupt ~field:"mask" (one_op "FF ialu 3 1 2 -");
+  (* nothing after the last declared warp *)
+  expect_corrupt ~field:"trailing" (one_op "ff ialu 3 1 2 -" ^ "\n");
+  expect_corrupt ~field:"trailing" "TFWARP1 8 1\nW 0 0\nW 1 0\n";
+  (* counts beyond what the bytes left can hold *)
+  expect_corrupt ~field:"warp count" "TFWARP1 8 4611686018427387903\n";
+  expect_corrupt ~field:"op count" "TFWARP1 8 1\nW 0 1000000\n";
+  expect_corrupt ~field:"src count" (one_op "ff ialu 3 1000 2 -")
 
 let () =
   Alcotest.run "core_units"
@@ -477,6 +580,9 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_warp_serial_roundtrip;
           Alcotest.test_case "file" `Quick test_warp_serial_file;
           Alcotest.test_case "corrupt" `Quick test_warp_serial_corrupt;
+          Alcotest.test_case "every truncation" `Quick test_warp_serial_truncations;
+          Alcotest.test_case "byte flips" `Quick test_warp_serial_flips;
+          Alcotest.test_case "strict fields" `Quick test_warp_serial_strict;
         ] );
       ( "ncp",
         [

@@ -119,6 +119,28 @@ let test_deterministic () =
   let a = Gpusim.run ~config:tiny k and b = Gpusim.run ~config:tiny k in
   Alcotest.(check int) "same cycles" a.Gpusim.cycles b.Gpusim.cycles
 
+(* The lines of one memory op reach the L1 in reverse order of first
+   appearance across the lanes, which decides LRU victims.  One set of two
+   ways: after A, then B+C (C visited first), the LRU line is C, so D
+   evicts C and B still hits.  Visiting B first would evict B instead. *)
+let test_l1_line_order () =
+  let one_set =
+    {
+      tiny with
+      Config.n_sms = 1;
+      l1 = { Cache.size_bytes = 64; assoc = 2; line_bytes = 32 };
+    }
+  in
+  let load lines =
+    let addrs = Array.make 32 (-1) in
+    List.iteri (fun lane a -> addrs.(lane) <- a) lines;
+    entry (load_op addrs)
+  in
+  let k = kernel [| load [ 0 ]; load [ 32; 64 ]; load [ 96 ]; load [ 32 ] |] in
+  let s = Gpusim.run ~config:one_set k in
+  Alcotest.(check int) "l1 hits" 1 s.Gpusim.l1_hits;
+  Alcotest.(check int) "l1 misses" 4 s.Gpusim.l1_misses
+
 let test_lrr_vs_gto_both_finish () =
   let k =
     {
@@ -408,6 +430,7 @@ let () =
           Alcotest.test_case "divergent loads" `Quick test_divergent_loads_slower;
           Alcotest.test_case "sm scaling" `Quick test_more_warps_scale;
           Alcotest.test_case "deterministic" `Quick test_deterministic;
+          Alcotest.test_case "l1 line order" `Quick test_l1_line_order;
           Alcotest.test_case "schedulers" `Quick test_lrr_vs_gto_both_finish;
           Alcotest.test_case "end to end" `Quick test_end_to_end_pipeline;
           Alcotest.test_case "stall attribution" `Quick test_stall_attribution;
