@@ -519,7 +519,7 @@ let profile_run () w warp_size level threads scale trace_out metrics_out
         Obs.set_full_events false)
       (fun () ->
         let tr =
-          Obs.span "decode"
+          Obs.span "trace"
             ~args:[ ("workload", w.W.name) ]
             (fun () -> W.trace_cpu ~level ?threads ~scale w)
         in
@@ -539,13 +539,29 @@ let profile_run () w warp_size level threads scale trace_out metrics_out
     Compiler.pp_level level
     (List.length snap.Obs.events);
   Fmt.pr "@.pipeline phases:@.";
+  (* In start order; a phase that lies inside a longer one (machine_run
+     inside trace) is indented under it. *)
+  let phases =
+    List.filter_map
+      (function
+        | Obs.Complete { name; track; ts; dur; _ }
+          when Obs.track_id track = Obs.track_id Obs.pipeline ->
+            Some (name, ts, dur)
+        | _ -> None)
+      snap.Obs.events
+    |> List.stable_sort (fun (_, a, da) (_, b, db) ->
+           if a <> b then Float.compare a b else Float.compare db da)
+  in
+  let inside (_, ts, dur) (_, pts, pdur) =
+    pts <= ts && ts < pts +. pdur && ts +. dur <= pts +. pdur && pdur > dur
+  in
   List.iter
-    (function
-      | Obs.Complete { name; track; dur; _ }
-        when Obs.track_id track = Obs.track_id Obs.pipeline ->
-          Fmt.pr "  %-16s %9.3f ms@." name (dur /. 1000.)
-      | _ -> ())
-    snap.Obs.events;
+    (fun ((name, _, dur) as p) ->
+      let depth = List.length (List.filter (inside p) phases) in
+      Fmt.pr "  %s%-*s %9.3f ms@." (String.make (2 * depth) ' ')
+        (Int.max 0 (16 - (2 * depth)))
+        name (dur /. 1000.))
+    phases;
   Fmt.pr "@.counters:@.";
   List.iter
     (fun c ->

@@ -34,65 +34,81 @@ module Builder = struct
     fid : int;
     nb : int;
     edges : (int, unit) Hashtbl.t; (* from * (nb+1) + to *)
+    known : Bytes.t; (* bit per edge key: already in [edges] *)
     seen : bool array;
   }
 
-  type t = { prog : Program.t; funcs : (int, func_acc) Hashtbl.t }
+  type t = { prog : Program.t; funcs : func_acc option array (* per fid *) }
 
-  let create prog = { prog; funcs = Hashtbl.create 32 }
+  let create prog = { prog; funcs = Array.make (Program.func_count prog) None }
 
   let acc t fid =
-    match Hashtbl.find_opt t.funcs fid with
+    match t.funcs.(fid) with
     | Some a -> a
     | None ->
         let nb = Program.block_count (Program.func t.prog fid) in
         let a =
-          { fid; nb; edges = Hashtbl.create 64; seen = Array.make (nb + 1) false }
+          {
+            fid;
+            nb;
+            edges = Hashtbl.create 64;
+            known = Bytes.make ((((nb + 1) * (nb + 1)) + 7) / 8) '\000';
+            seen = Array.make (nb + 1) false;
+          }
         in
-        Hashtbl.add t.funcs fid a;
+        t.funcs.(fid) <- Some a;
         a
 
-  let add_edge a from_ to_ = Hashtbl.replace a.edges ((from_ * (a.nb + 1)) + to_) ()
+  (* The bitmap keeps the (polymorphically hashed) table to one insertion
+     per distinct edge; insertion order, and so [finish]'s list orders,
+     are unchanged. *)
+  let add_edge a from_ to_ =
+    let key = (from_ * (a.nb + 1)) + to_ in
+    let byte = Bytes.get_uint8 a.known (key lsr 3) and bit = 1 lsl (key land 7) in
+    if byte land bit = 0 then begin
+      Bytes.set_uint8 a.known (key lsr 3) (byte lor bit);
+      Hashtbl.replace a.edges key ()
+    end
 
   (* Frame: the function being executed and the last block observed in it. *)
   type frame = { facc : func_acc; mutable last : int }
 
+  let enter t fid = { facc = acc t fid; last = -1 }
+
+  (* Pop the innermost frame; its last block flows to the virtual exit. *)
+  let leave = function
+    | [] -> []
+    | fr :: rest ->
+        if fr.last >= 0 then begin
+          add_edge fr.facc fr.last fr.facc.nb;
+          fr.facc.seen.(fr.facc.nb) <- true
+        end;
+        rest
+
   let feed t (trace : Thread_trace.t) =
     let stack = ref [] in
-    let enter fid =
-      let a = acc t fid in
-      stack := { facc = a; last = -1 } :: !stack
-    in
-    let leave () =
-      match !stack with
-      | [] -> ()
-      | fr :: rest ->
-          if fr.last >= 0 then begin
-            add_edge fr.facc fr.last fr.facc.nb;
-            fr.facc.seen.(fr.facc.nb) <- true
-          end;
-          stack := rest
-    in
-    Array.iter
-      (fun (e : Event.t) ->
-        match e with
-        | Event.Block { func; block; _ } ->
-            (match !stack with
-            | fr :: _ when fr.facc.fid = func -> ()
-            | _ -> enter func);
-            let fr = List.hd !stack in
-            fr.facc.seen.(block) <- true;
-            if fr.last >= 0 then add_edge fr.facc fr.last block;
-            fr.last <- block
-        | Event.Call callee -> enter callee
-        | Event.Return -> leave ()
-        | Event.Lock_acq _ | Event.Lock_rel _ | Event.Barrier _
-        | Event.Skip _ ->
-            ())
-      trace.events;
+    let events = trace.events in
+    for i = 0 to Array.length events - 1 do
+      match events.(i) with
+      | Event.Block { func; block; _ } ->
+          let fr =
+            match !stack with
+            | fr :: _ when fr.facc.fid = func -> fr
+            | frames ->
+                let fr = enter t func in
+                stack := fr :: frames;
+                fr
+          in
+          fr.facc.seen.(block) <- true;
+          if fr.last >= 0 then add_edge fr.facc fr.last block;
+          fr.last <- block
+      | Event.Call callee -> stack := enter t callee :: !stack
+      | Event.Return -> stack := leave !stack
+      | Event.Lock_acq _ | Event.Lock_rel _ | Event.Barrier _ | Event.Skip _ -> ()
+    done;
     (* A thread cut short (Halt) still reconverges at the virtual exit. *)
     while !stack <> [] do
-      leave ()
+      stack := leave !stack
     done
 
   let finish_func (a : func_acc) : dcfg =
@@ -117,7 +133,7 @@ module Builder = struct
       get an empty graph. *)
   let finish t : dcfg array =
     Array.init (Program.func_count t.prog) (fun fid ->
-        match Hashtbl.find_opt t.funcs fid with
+        match t.funcs.(fid) with
         | Some a -> finish_func a
         | None ->
             let nb = Program.block_count (Program.func t.prog fid) in

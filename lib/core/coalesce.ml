@@ -36,7 +36,7 @@ let count_transactions (accesses : (int * int) list) =
   List.iter
     (fun (addr, size) ->
       let first = addr / transaction_bytes
-      and last = (addr + max 1 size - 1) / transaction_bytes in
+      and last = (addr + Int.max 1 size - 1) / transaction_bytes in
       for line = first to last do
         Hashtbl.replace lines line ()
       done)
@@ -79,6 +79,19 @@ type seg_scratch = {
   mutable x_n : int;
 }
 
+(* The coalescing instruments' updates, staged while a warp replays and
+   handed to the collector by [flush_obs]: an atomic counter bump and a
+   mutex-guarded histogram sample per memory instruction would cost about
+   as much as the coalescing itself. *)
+type obs_batch = {
+  mutable b_instrs : int;
+  mutable b_txns : int;
+  mutable b_coalesced : int;
+  mutable b_serialized : int;
+  mutable b_samples : float array; (* transactions per instruction *)
+  mutable b_n : int;
+}
+
 type t = {
   stack : seg_counters;
   heap : seg_counters;
@@ -86,6 +99,7 @@ type t = {
   sites : (int * int * int, site_counters) Hashtbl.t;
   xs : seg_scratch array; (* staging per segment: stack, heap, global *)
   mutable lines_buf : int array; (* 32 B line ids of one access set *)
+  obs : obs_batch;
   evt_seen : (int, unit) Hashtbl.t;
       (* sites whose "serialized access" instant already fired this warp
          (see [new_warp]); unused under [Obs.full_events] *)
@@ -101,8 +115,33 @@ let create () =
     sites = Hashtbl.create 64;
     xs = [| seg_scratch (); seg_scratch (); seg_scratch () |];
     lines_buf = Array.make 128 0;
+    obs =
+      {
+        b_instrs = 0;
+        b_txns = 0;
+        b_coalesced = 0;
+        b_serialized = 0;
+        b_samples = Array.make 64 0.0;
+        b_n = 0;
+      };
     evt_seen = Hashtbl.create 32;
   }
+
+(** Hand the staged instrument updates to the collector. *)
+let flush_obs t =
+  let b = t.obs in
+  if b.b_instrs > 0 then begin
+    Obs.Counter.add c_mem_instrs b.b_instrs;
+    Obs.Counter.add c_mem_txns b.b_txns;
+    Obs.Counter.add c_mem_coalesced b.b_coalesced;
+    Obs.Counter.add c_mem_serialized b.b_serialized;
+    Obs.Histogram.observe_many h_txns_per_instr b.b_samples b.b_n;
+    b.b_instrs <- 0;
+    b.b_txns <- 0;
+    b.b_coalesced <- 0;
+    b.b_serialized <- 0;
+    b.b_n <- 0
+  end
 
 (* Called when a warp's replay starts: per-occurrence instants are
    thinned to the first occurrence per (warp, site) unless
@@ -130,8 +169,8 @@ let site_counters t key =
 (** Perfectly-coalesced floor for an access set: the 32 B lines needed if
     the same bytes were laid out contiguously. *)
 let min_transactions (accesses : (int * int) list) =
-  let bytes = List.fold_left (fun acc (_, size) -> acc + max 1 size) 0 accesses in
-  max 1 ((bytes + transaction_bytes - 1) / transaction_bytes)
+  let bytes = List.fold_left (fun acc (_, size) -> acc + Int.max 1 size) 0 accesses in
+  Int.max 1 ((bytes + transaction_bytes - 1) / transaction_bytes)
 
 let seg t (segment : Layout.segment) =
   match segment with
@@ -169,7 +208,7 @@ let count_transactions_scratch t (x : seg_scratch) =
   let nl = ref 0 in
   for i = 0 to x.x_n - 1 do
     let first = x.x_addr.(i) / transaction_bytes
-    and last = (x.x_addr.(i) + max 1 x.x_size.(i) - 1) / transaction_bytes in
+    and last = (x.x_addr.(i) + Int.max 1 x.x_size.(i) - 1) / transaction_bytes in
     for line = first to last do
       if !nl = Array.length t.lines_buf then begin
         let b = Array.make (2 * !nl) 0 in
@@ -196,6 +235,14 @@ let count_transactions_scratch t (x : seg_scratch) =
   done;
   !distinct
 
+(* A resolved access site: its counters cell and the int key that thins
+   its "serialized access" instant.  Resolving looks the cell up (adding
+   it on first use), so callers resolve each site once and keep it. *)
+type site = { cell : site_counters; evt_key : int }
+
+let resolve_site t ((fid, block, ioff) as key) =
+  { cell = site_counters t key; evt_key = (fid lsl 40) lor (block lsl 20) lor ioff }
+
 (** Record one warp-level memory instruction from parallel arrays:
     [addrs]/[sizes][0..n-1] are the active lanes' accesses.  The
     allocation-free hot-path twin of {!record}: identical accounting
@@ -208,29 +255,24 @@ let record_lanes t ~is_store ?site ~n (addrs : int array) (sizes : int array) =
   for i = 0 to n - 1 do
     push_scratch t.xs.(seg_index (Layout.segment_of addrs.(i))) addrs.(i) sizes.(i)
   done;
-  let site_cell =
-    match site with
-    | None -> None
-    | Some key ->
-        let c = site_counters t key in
-        c.a_issues <- c.a_issues + 1;
-        Some c
-  in
+  (match site with
+  | None -> ()
+  | Some { cell = c; _ } -> c.a_issues <- c.a_issues + 1);
   let total = ref 0 in
   for si = 0 to 2 do
     let x = t.xs.(si) in
     if x.x_n > 0 then begin
       let segment = segment_of_index si in
       let txns = count_transactions_scratch t x in
-      (match site_cell with
+      (match site with
       | None -> ()
-      | Some c ->
+      | Some { cell = c; _ } ->
           let bytes = ref 0 in
           for i = 0 to x.x_n - 1 do
-            bytes := !bytes + max 1 x.x_size.(i)
+            bytes := !bytes + Int.max 1 x.x_size.(i)
           done;
-          let min_txns = max 1 ((!bytes + transaction_bytes - 1) / transaction_bytes) in
-          let excess = max 0 (txns - min_txns) in
+          let min_txns = Int.max 1 ((!bytes + transaction_bytes - 1) / transaction_bytes) in
+          let excess = Int.max 0 (txns - min_txns) in
           c.a_txns <- c.a_txns + txns;
           c.a_min_txns <- c.a_min_txns + min_txns;
           (match segment with
@@ -238,21 +280,22 @@ let record_lanes t ~is_store ?site ~n (addrs : int array) (sizes : int array) =
           | Layout.Heap -> c.a_heap_excess <- c.a_heap_excess + excess
           | Layout.Global -> c.a_global_excess <- c.a_global_excess + excess));
       if !Obs.enabled then begin
-        let lanes = x.x_n in
-        Obs.Counter.incr c_mem_instrs;
-        Obs.Counter.add c_mem_txns txns;
-        Obs.Histogram.observe h_txns_per_instr (float_of_int txns);
-        if txns = 1 then Obs.Counter.incr c_mem_coalesced
+        let lanes = x.x_n and b = t.obs in
+        b.b_instrs <- b.b_instrs + 1;
+        b.b_txns <- b.b_txns + txns;
+        if b.b_n = Array.length b.b_samples then begin
+          let bigger = Array.make (2 * b.b_n) 0.0 in
+          Array.blit b.b_samples 0 bigger 0 b.b_n;
+          b.b_samples <- bigger
+        end;
+        b.b_samples.(b.b_n) <- float_of_int txns;
+        b.b_n <- b.b_n + 1;
+        if txns = 1 then b.b_coalesced <- b.b_coalesced + 1
         else if txns >= lanes && lanes > 1 then begin
           (* worst case: the instruction degenerated to one transaction
              per lane — surface it on the memory track *)
-          Obs.Counter.incr c_mem_serialized;
-          let key =
-            match site with
-            | Some (fid, block, ioff) ->
-                (fid lsl 40) lor (block lsl 20) lor ioff
-            | None -> -1
-          in
+          b.b_serialized <- b.b_serialized + 1;
+          let key = match site with Some x -> x.evt_key | None -> -1 in
           if
             !Obs.full_events
             || (not (Hashtbl.mem t.evt_seen key))
@@ -292,13 +335,17 @@ let record_lanes t ~is_store ?site ~n (addrs : int array) (sizes : int array) =
     tests and cold call sites. *)
 let record t ~is_store ?site (lanes : (int * int) list) =
   let n = List.length lanes in
-  let addrs = Array.make (max n 1) 0 and sizes = Array.make (max n 1) 0 in
+  let addrs = Array.make (Int.max n 1) 0 and sizes = Array.make (Int.max n 1) 0 in
   List.iteri
     (fun i (a, s) ->
       addrs.(i) <- a;
       sizes.(i) <- s)
     lanes;
-  record_lanes t ~is_store ?site ~n addrs sizes
+  let total =
+    record_lanes t ~is_store ?site:(Option.map (resolve_site t) site) ~n addrs sizes
+  in
+  flush_obs t;
+  total
 
 (** Fold [src]'s counters into [dst] — the shard reduction of the
     domain-parallel replay (see Par_replay): every field is a sum, so the

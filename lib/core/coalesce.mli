@@ -32,6 +32,9 @@ type site_counters = {
 type seg_scratch
 (** Internal staging for the allocation-free record path. *)
 
+type obs_batch
+(** Collector instrument updates staged during a warp (see {!flush_obs}). *)
+
 type t = {
   stack : seg_counters;
   heap : seg_counters;
@@ -39,10 +42,18 @@ type t = {
   sites : (int * int * int, site_counters) Hashtbl.t;
   xs : seg_scratch array;
   mutable lines_buf : int array;
+  obs : obs_batch;
   evt_seen : (int, unit) Hashtbl.t;
 }
 
 val create : unit -> t
+
+(** With the collector enabled, {!record_lanes} stages its counter and
+    histogram updates instead of taking an atomic or a lock per memory
+    instruction; [flush_obs] hands them over.  {!Emulator.run_warp} calls
+    it when a warp's replay ends (also when it raises), and {!record}
+    after every call. *)
+val flush_obs : t -> unit
 
 (** Reset the per-warp instant-thinning state; {!Emulator.run_warp}
     calls this when a warp's replay starts.  Unless [Obs.full_events] is
@@ -60,14 +71,23 @@ val min_transactions : (int * int) list -> int
     [(fid, block, ioff)] instruction site. *)
 val record : t -> is_store:bool -> ?site:int * int * int -> (int * int) list -> int
 
+(** An access site resolved to its counters cell (see {!resolve_site}). *)
+type site
+
+(** [resolve_site t (fid, block, ioff)] looks up the site's counters,
+    adding them on first use; hot callers resolve each site once and keep
+    the result, so the [sites] table fills in first-use order. *)
+val resolve_site : t -> int * int * int -> site
+
 (** Allocation-free twin of {!record} over parallel arrays
     [addrs]/[sizes][0..n-1] — the replay hot path ({!Emulator.count_block}
-    stages each instruction's accesses into reusable buffers).  Identical
-    accounting and return value. *)
+    stages each instruction's accesses into reusable buffers and passes
+    sites it has already resolved).  Identical accounting and return
+    value. *)
 val record_lanes :
   t ->
   is_store:bool ->
-  ?site:int * int * int ->
+  ?site:site ->
   n:int ->
   int array ->
   int array ->

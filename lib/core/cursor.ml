@@ -70,6 +70,32 @@ let peek c : control =
     | Event.Barrier a -> C_barrier a
     | Event.Skip _ -> assert false
 
+(* Allocation-free reads of the next control item for the replay hot
+   path; [peek] stays for error messages. *)
+
+(** Whether the next control item is a block of function [func]. *)
+let at_block c ~func =
+  absorb_skips c;
+  c.pos < Array.length c.events
+  &&
+  match c.events.(c.pos) with
+  | Event.Block b -> b.func = func
+  | Event.Call _ | Event.Return | Event.Lock_acq _ | Event.Lock_rel _
+  | Event.Barrier _ | Event.Skip _ ->
+      false
+
+(** The block id of the next control item; only after [at_block]. *)
+let block c =
+  match c.events.(c.pos) with
+  | Event.Block b -> b.block
+  | _ -> invalid_arg "Cursor.block: not at a block"
+
+(** The access array of the next control item; only after [at_block]. *)
+let accesses c =
+  match c.events.(c.pos) with
+  | Event.Block b -> b.accesses
+  | _ -> invalid_arg "Cursor.accesses: not at a block"
+
 (** Consume the control item [peek] would return. *)
 let advance c =
   absorb_skips c;

@@ -32,6 +32,20 @@ val of_trace : Threadfuser_trace.Thread_trace.t -> t
 (** Next control item without consuming it (skips are absorbed). *)
 val peek : t -> control
 
+(** {2 Allocation-free inspection}
+
+    The replay hot path reads the next control item in place instead of
+    through [peek]'s freshly built [control]. *)
+
+(** Whether the next control item (skips absorbed) is a block of [func]. *)
+val at_block : t -> func:int -> bool
+
+(** The next control item's block id; call only after [at_block]. *)
+val block : t -> int
+
+(** The next control item's access array; call only after [at_block]. *)
+val accesses : t -> Threadfuser_trace.Event.access array
+
 (** Consume the item [peek] would return. *)
 val advance : t -> unit
 

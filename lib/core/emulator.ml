@@ -104,8 +104,8 @@ type div_site_cell = {
   mutable sc_kind : site_kind;
 }
 
-(* A blame chain entry: (site, lanes lost per lock-step issue). *)
-type blame = ((int * int) * int) list
+(* A blame chain entry: (site's cell, lanes lost per lock-step issue). *)
+type blame = (div_site_cell * int) list
 
 (* Folded-stack accumulation for the replay flamegraph: the warp's call
    stack (leaf first) -> lock-step issues and lost-lane issue slots. *)
@@ -162,6 +162,9 @@ type t = {
   mutable call_stack : int list; (* replaying warp's frames, leaf first *)
   mutable flame_cur : flame_cell option; (* cached cell for [call_stack] *)
   mutable obs_on : bool; (* [!Obs.enabled] cached per replay *)
+  site_rows : Coalesce.site option array array array;
+      (* resolved access sites, per function, per block, per ioff; a row
+         is allocated the first time its block touches memory *)
   scratch : scratch;
 }
 
@@ -195,6 +198,9 @@ let create ?(warp_trace : Warp_trace.Builder.t option) prog ipdoms config =
     call_stack = [];
     flame_cur = None;
     obs_on = false;
+    site_rows =
+      Array.init (Program.func_count prog) (fun fid ->
+          Array.make (Program.block_count (Program.func prog fid)) [||]);
     scratch =
       {
         lane_ids = Array.make ws 0;
@@ -294,6 +300,84 @@ let push_mem s ~is_store lane addr size =
     s.n_ld <- n + 1
   end
 
+(* Lane [i]'s pending access ioff ([max_int] once its accesses are used
+   up).  A lane whose pending ioff lies behind the walk (unsorted or
+   out-of-range input) never matches again, as in an ioff-by-ioff walk. *)
+let pending s i =
+  let accs = s.lane_accs.(i) and p = s.lane_ptr.(i) in
+  if p < Array.length accs then accs.(p).Event.ioff else max_int
+
+(* The smallest non-negative pending ioff over the staged lanes. *)
+let next_pending s =
+  let k = ref max_int in
+  for i = 0 to s.n_lanes - 1 do
+    let q = pending s i in
+    if q >= 0 && q < !k then k := q
+  done;
+  !k
+
+(* Stage every lane's accesses at [ioff] into the load/store buffers
+   (lanes ascending, each lane's in array order) and return the smallest
+   pending ioff after [ioff]. *)
+let gather s ioff =
+  s.n_ld <- 0;
+  s.n_st <- 0;
+  let k = ref max_int in
+  for i = 0 to s.n_lanes - 1 do
+    let accs = s.lane_accs.(i) in
+    let len = Array.length accs in
+    let p = ref s.lane_ptr.(i) in
+    while !p < len && accs.(!p).Event.ioff = ioff do
+      let a = accs.(!p) in
+      push_mem s ~is_store:a.Event.is_store s.lane_ids.(i) a.Event.addr
+        a.Event.size;
+      incr p
+    done;
+    s.lane_ptr.(i) <- !p;
+    let q = pending s i in
+    if q > ioff && q < !k then k := q
+  done;
+  !k
+
+(* The block's resolved access sites, indexed by ioff. *)
+let site_row t ~func ~block n =
+  let row = t.site_rows.(func).(block) in
+  if Array.length row = n then row
+  else begin
+    let row = Array.make n None in
+    t.site_rows.(func).(block) <- row;
+    row
+  end
+
+let site_at t sites ~func ~block ioff =
+  match sites.(ioff) with
+  | Some _ as site -> site
+  | None ->
+      let site = Some (Coalesce.resolve_site t.coalesce (func, block, ioff)) in
+      sites.(ioff) <- site;
+      site
+
+(* Coalesce the accesses [gather] staged for instruction [ioff]. *)
+let record_gathered t sites ~func ~block ioff =
+  let s = t.scratch in
+  if s.n_ld > 0 then
+    ignore
+      (Coalesce.record_lanes t.coalesce ~is_store:false
+         ?site:(site_at t sites ~func ~block ioff)
+         ~n:s.n_ld s.ld_addr s.ld_size);
+  if s.n_st > 0 then
+    ignore
+      (Coalesce.record_lanes t.coalesce ~is_store:true
+         ?site:(site_at t sites ~func ~block ioff)
+         ~n:s.n_st s.st_addr s.st_size)
+
+(* Charge every enclosing divergence site its lost lanes for [n] issues. *)
+let rec charge_blame n : blame -> unit = function
+  | [] -> ()
+  | (c, lost) :: rest ->
+      if lost > 0 then c.sc_lost <- c.sc_lost + (n * lost);
+      charge_blame n rest
+
 (* Execute block [block] of [func] for the active lanes staged in
    [t.scratch] ([lane_ids]/[lane_accs][0..n_lanes), ascending lane order).
    All bookkeeping lives here so the lock-step path and the scalar
@@ -309,13 +393,7 @@ let count_block t ~func ~block ~mask ~(blame : blame) =
   Obs.Counter.incr c_blocks;
   t.issues <- t.issues + n;
   t.thread_instrs <- t.thread_instrs + (n * active);
-  List.iter
-    (fun (site, lost) ->
-      if lost > 0 then begin
-        let c = div_site_cell t site Branch_site in
-        c.sc_lost <- c.sc_lost + (n * lost)
-      end)
-    blame;
+  charge_blame n blame;
   (let fc =
      match t.flame_cur with
      | Some fc -> fc
@@ -333,37 +411,30 @@ let count_block t ~func ~block ~mask ~(blame : blame) =
   t.func_instrs.(func) <- t.func_instrs.(func) + (n * active);
   t.block_issues.(func).(block) <- t.block_issues.(func).(block) + n;
   t.block_instrs.(func).(block) <- t.block_instrs.(func).(block) + (n * active);
-  (* Per-lane read pointers into the (ioff-sorted) access arrays. *)
+  (* Per-lane read pointers into the (ioff-sorted) access arrays.  Only
+     an ioff some lane has a pending access at can gather anything, so
+     the walk jumps from one such ioff to the next. *)
   for i = 0 to active - 1 do
     s.lane_ptr.(i) <- 0
   done;
-  let emit_wt = t.wt in
-  for ioff = 0 to n - 1 do
-    s.n_ld <- 0;
-    s.n_st <- 0;
-    for i = 0 to active - 1 do
-      let accs = s.lane_accs.(i) in
-      let len = Array.length accs in
-      let p = ref s.lane_ptr.(i) in
-      while !p < len && accs.(!p).Event.ioff = ioff do
-        let a = accs.(!p) in
-        push_mem s ~is_store:a.Event.is_store s.lane_ids.(i) a.Event.addr
-          a.Event.size;
-        incr p
-      done;
-      s.lane_ptr.(i) <- !p
-    done;
-    if s.n_ld > 0 then
-      ignore
-        (Coalesce.record_lanes t.coalesce ~is_store:false
-           ~site:(func, block, ioff) ~n:s.n_ld s.ld_addr s.ld_size);
-    if s.n_st > 0 then
-      ignore
-        (Coalesce.record_lanes t.coalesce ~is_store:true
-           ~site:(func, block, ioff) ~n:s.n_st s.st_addr s.st_size);
-    match emit_wt with
-    | None -> ()
-    | Some wt ->
+  let sites = site_row t ~func ~block n in
+  (match t.wt with
+  | None ->
+      let k = ref (next_pending s) in
+      while !k < n do
+        let ioff = !k in
+        k := gather s ioff;
+        record_gathered t sites ~func ~block ioff
+      done
+  | Some wt ->
+      let k = ref (next_pending s) in
+      for ioff = 0 to n - 1 do
+        if ioff = !k then k := gather s ioff
+        else begin
+          s.n_ld <- 0;
+          s.n_st <- 0
+        end;
+        record_gathered t sites ~func ~block ioff;
         (* A lane's first access at this [ioff] wins, matching the
            newest-first list gather this replaced (later entries of that
            list were older and overwrote). *)
@@ -392,7 +463,7 @@ let count_block t ~func ~block ~mask ~(blame : blame) =
         List.iter
           (fun op -> Warp_trace.Builder.emit wt ~warp:t.wt_warp mask op)
           (Crack.crack instrs.(ioff) mem)
-  done;
+      done);
   instrs.(n - 1)
 
 (* ------------------------------------------------------------------ *)
@@ -410,20 +481,18 @@ type entry = {
 (* Check the lane is positioned at the expected block and return its
    recorded memory accesses. *)
 let block_accesses_of_lane cursors func node lane =
-  match Cursor.peek cursors.(lane) with
-  | Cursor.C_block { func = f; block = b; accesses; _ }
-    when f = func && b = node ->
-      accesses
-  | c ->
-      errf "lane %d: expected block f%d.b%d, trace has %s" lane func node
-        (match c with
-        | Cursor.C_block b -> Printf.sprintf "block f%d.b%d" b.func b.block
-        | Cursor.C_call f -> Printf.sprintf "call f%d" f
-        | Cursor.C_ret -> "return"
-        | Cursor.C_lock _ -> "lock"
-        | Cursor.C_unlock _ -> "unlock"
-        | Cursor.C_barrier _ -> "barrier"
-        | Cursor.C_end -> "end of trace")
+  let c = cursors.(lane) in
+  if Cursor.at_block c ~func && Cursor.block c = node then Cursor.accesses c
+  else
+    errf "lane %d: expected block f%d.b%d, trace has %s" lane func node
+      (match Cursor.peek c with
+      | Cursor.C_block b -> Printf.sprintf "block f%d.b%d" b.func b.block
+      | Cursor.C_call f -> Printf.sprintf "call f%d" f
+      | Cursor.C_ret -> "return"
+      | Cursor.C_lock _ -> "lock"
+      | Cursor.C_unlock _ -> "unlock"
+      | Cursor.C_barrier _ -> "barrier"
+      | Cursor.C_end -> "end of trace")
 
 (* Reconvergence point for a divergence whose lanes stand at [targets]
    inside [e]: the nearest common post-dominator of the targets (for plain
@@ -505,38 +574,42 @@ let regroup ?(kind = Branch_site) t stack (e : entry) block cursors =
   s.n_groups <- 0;
   (* Group the active lanes by their next block: linear scan over the
      (few) distinct targets, no Hashtbl, no lane list. *)
-  let parent_lanes =
-    Mask.fold
-      (fun n lane ->
-        let target =
-          match Cursor.peek cursors.(lane) with
-          | Cursor.C_block b when b.func = e.e_func -> b.block
-          | c ->
-              errf "lane %d: expected a block of f%d after f%d.b%d, got %s" lane
-                e.e_func e.e_func block
-                (match c with
-                | Cursor.C_block b ->
-                    Printf.sprintf "block f%d.b%d" b.func b.block
-                | Cursor.C_call _ -> "call"
-                | Cursor.C_ret -> "return"
-                | Cursor.C_lock _ -> "lock"
-                | Cursor.C_unlock _ -> "unlock"
-                | Cursor.C_barrier _ -> "barrier"
-                | Cursor.C_end -> "end of trace")
-        in
-        let g = ref (-1) in
-        for j = 0 to s.n_groups - 1 do
-          if s.grp_target.(j) = target then g := j
-        done;
-        if !g >= 0 then s.grp_mask.(!g) <- Mask.add s.grp_mask.(!g) lane
-        else begin
-          s.grp_target.(s.n_groups) <- target;
-          s.grp_mask.(s.n_groups) <- Mask.singleton lane;
-          s.n_groups <- s.n_groups + 1
-        end;
-        n + 1)
-      0 e.e_mask
-  in
+  let parent_lanes = ref 0 in
+  let m = ref (e.e_mask :> int) and lane = ref 0 in
+  while !m <> 0 do
+    if !m land 1 <> 0 then begin
+      let lane = !lane in
+      let c = cursors.(lane) in
+      let target =
+        if Cursor.at_block c ~func:e.e_func then Cursor.block c
+        else
+          errf "lane %d: expected a block of f%d after f%d.b%d, got %s" lane
+            e.e_func e.e_func block
+            (match Cursor.peek c with
+            | Cursor.C_block b -> Printf.sprintf "block f%d.b%d" b.func b.block
+            | Cursor.C_call _ -> "call"
+            | Cursor.C_ret -> "return"
+            | Cursor.C_lock _ -> "lock"
+            | Cursor.C_unlock _ -> "unlock"
+            | Cursor.C_barrier _ -> "barrier"
+            | Cursor.C_end -> "end of trace")
+      in
+      let g = ref (-1) in
+      for j = 0 to s.n_groups - 1 do
+        if s.grp_target.(j) = target then g := j
+      done;
+      if !g >= 0 then s.grp_mask.(!g) <- Mask.add s.grp_mask.(!g) lane
+      else begin
+        s.grp_target.(s.n_groups) <- target;
+        s.grp_mask.(s.n_groups) <- Mask.singleton lane;
+        s.n_groups <- s.n_groups + 1
+      end;
+      incr parent_lanes
+    end;
+    m := !m lsr 1;
+    incr lane
+  done;
+  let parent_lanes = !parent_lanes in
   if s.n_groups = 1 then e.pc <- s.grp_target.(0)
   else begin
     Obs.Counter.incr c_div_splits;
@@ -588,7 +661,7 @@ let regroup ?(kind = Branch_site) t stack (e : entry) block cursors =
             pc = target;
             e_reconv = r;
             e_mask = mask;
-            e_blame = (site, parent_lanes - Mask.count mask) :: e.e_blame;
+            e_blame = (cell, parent_lanes - Mask.count mask) :: e.e_blame;
             e_frame = false;
           }
     done
@@ -614,8 +687,7 @@ let handle_locks ?(fuel : fuel = None) ~warp_id t stack (e : entry) block
      the blame chain with ((func, block), contenders - 1). *)
   let site = (e.e_func, block) in
   let serial_blame ~contenders : blame =
-    ignore (div_site_cell t site Sync_site);
-    (site, contenders - 1) :: e.e_blame
+    (div_site_cell t site Sync_site, contenders - 1) :: e.e_blame
   in
   (match t.config.sync with
   | Ignore_sync -> ()
@@ -678,12 +750,7 @@ let handle_locks ?(fuel : fuel = None) ~warp_id t stack (e : entry) block
 (* ------------------------------------------------------------------ *)
 (* Warp main loop                                                       *)
 
-(** Replay one warp.  [cursors.(lane)] is the lane's trace cursor; all
-    lanes must start at the same worker function.  [fuel] (when given)
-    bounds the total number of stack steps + serialized events, raising a
-    typed [Tf_error.Timeout] when exhausted — the replay watchdog of the
-    checked pipeline. *)
-let run_warp ?fuel t ~warp_id (cursors : Cursor.t array) =
+let replay_warp ?fuel t ~warp_id (cursors : Cursor.t array) =
   let fuel : fuel = Option.map ref fuel in
   t.wt_warp <- warp_id;
   t.obs_on <- !Obs.enabled;
@@ -748,14 +815,18 @@ let run_warp ?fuel t ~warp_id (cursors : Cursor.t array) =
         (* Consume this block from every active lane, staging the lanes and
            their access arrays in the scratch buffers (ascending). *)
         s.n_lanes <- 0;
-        Mask.iter
-          (fun lane ->
-            let accesses = block_accesses_of_lane cursors e.e_func block lane in
-            Cursor.advance cursors.(lane);
-            s.lane_ids.(s.n_lanes) <- lane;
+        let m = ref (e.e_mask :> int) and lane = ref 0 in
+        while !m <> 0 do
+          if !m land 1 <> 0 then begin
+            let accesses = block_accesses_of_lane cursors e.e_func block !lane in
+            Cursor.advance cursors.(!lane);
+            s.lane_ids.(s.n_lanes) <- !lane;
             s.lane_accs.(s.n_lanes) <- accesses;
-            s.n_lanes <- s.n_lanes + 1)
-          e.e_mask;
+            s.n_lanes <- s.n_lanes + 1
+          end;
+          m := !m lsr 1;
+          incr lane
+        done;
         let term =
           count_block t ~func:e.e_func ~block ~mask:e.e_mask ~blame:e.e_blame
         in
@@ -836,6 +907,16 @@ let run_warp ?fuel t ~warp_id (cursors : Cursor.t array) =
         t.tl_current <- None
     | None -> ()
   end
+
+(** Replay one warp.  [cursors.(lane)] is the lane's trace cursor; all
+    lanes must start at the same worker function.  [fuel] (when given)
+    bounds the total number of stack steps + serialized events, raising a
+    typed [Tf_error.Timeout] when exhausted — the replay watchdog of the
+    checked pipeline. *)
+let run_warp ?fuel t ~warp_id cursors =
+  Fun.protect
+    ~finally:(fun () -> Coalesce.flush_obs t.coalesce)
+    (fun () -> replay_warp ?fuel t ~warp_id cursors)
 
 (* ------------------------------------------------------------------ *)
 (* Shard reduction                                                      *)

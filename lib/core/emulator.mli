@@ -58,9 +58,9 @@ type div_site_cell = {
   mutable sc_kind : site_kind;
 }
 
-(** A blame chain: (site, lanes lost per lock-step issue) per enclosing
-    divergence. *)
-type blame = ((int * int) * int) list
+(** A blame chain: (the site's cell, lanes lost per lock-step issue) per
+    enclosing divergence. *)
+type blame = (div_site_cell * int) list
 
 (** Folded-stack accumulation for the replay flamegraph, keyed by the
     warp's call stack (leaf first). *)
@@ -97,6 +97,9 @@ type t = {
   mutable flame_cur : flame_cell option;
       (** cached flamegraph cell for [call_stack] *)
   mutable obs_on : bool;  (** [!Obs.enabled], cached per replay *)
+  site_rows : Coalesce.site option array array array;
+      (** resolved access sites per function, block and ioff (filled on
+          first use) *)
   scratch : scratch;
 }
 

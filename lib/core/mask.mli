@@ -39,8 +39,4 @@ val of_bits : int -> t
 
 val iter : (int -> unit) -> t -> unit
 
-(** [fold f acc m] — left fold over the active lanes, ascending;
-    allocation-free (the hot-path replacement for [to_list]). *)
-val fold : ('a -> int -> 'a) -> 'a -> t -> 'a
-
 val pp : warp_size:int -> Format.formatter -> t -> unit

@@ -132,7 +132,9 @@ let run ?(config = default_config) ?(domains = 1)
         core.log_n <- 0)
       cores;
     Array.stable_sort
-      (fun a b -> compare (a.c_ts, a.c_core) (b.c_ts, b.c_core))
+      (fun a b ->
+        let c = Int.compare a.c_ts b.c_ts in
+        if c <> 0 then c else Int.compare a.c_core b.c_core)
       buf;
     Array.iter
       (fun a ->

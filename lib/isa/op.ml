@@ -39,8 +39,8 @@ let eval_binop op a b =
   | Shl -> a lsl (b land 63)
   | Shr -> a lsr (b land 63)
   | Sar -> a asr (b land 63)
-  | Min -> min a b
-  | Max -> max a b
+  | Min -> Int.min a b
+  | Max -> Int.max a b
 
 (* Integer square root by Newton iteration; used for [Fsqrt].  Starting
    from n the iterates decrease monotonically until they reach

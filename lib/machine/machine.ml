@@ -62,7 +62,8 @@ type thread = {
   callstack : (int * int) Vec.t;
   mutable state : thread_state;
   builder : Thread_trace.Builder.t;
-  accesses : Event.access Vec.t;
+  mutable acc : int array; (* the running block's accesses, see [record] *)
+  mutable n_acc : int;
   mutable pending_wake : wake option;
   mutable blocked_since : int; (* scheduler slot when blocking started *)
   mutable suppress_depth : int; (* >0 while inside an excluded function *)
@@ -73,6 +74,304 @@ type lock = { mutable owner : int; waiters : int Queue.t }
 
 type barrier = { mutable arrived : int list }
 
+(* ---------------------------------------------------------------- *)
+(* Lowering                                                          *)
+
+(* Each basic block is lowered once, when the machine is created, into
+   one closure per instruction.  Lowering resolves everything static about
+   an instruction — operand shapes, width truncation masks, the binop and
+   the branch condition — and preallocates the outcome of static control
+   transfers, so executing a block neither re-matches the instruction
+   variants nor allocates.  Dynamic errors (a store to an immediate, a
+   [cmov] into memory) stay lazy: the lowered code raises them only when
+   the instruction executes. *)
+
+type outcome =
+  | Next
+  | Goto of int
+  | Do_call of int
+  | Do_ret
+  | Do_lock of int
+  | Do_unlock of int
+  | Do_io of int
+  | Do_barrier of int
+  | Do_halt
+
+type code = {
+  body : (thread -> unit) array; (* every instruction but the last *)
+  term : thread -> outcome; (* the last one, which decides the outcome *)
+  n_instr : int;
+  plain : Event.t; (* the block's event when it touched no memory *)
+}
+
+(* Accesses are staged as (meta, addr) int pairs in [th.acc], where
+   meta packs the instruction offset, the access size and the direction;
+   [meta] is a lowering-time constant of the accessing operand. *)
+let meta ~ioff ~size ~is_store =
+  (ioff lsl 5) lor (size lsl 1) lor if is_store then 1 else 0
+
+let record th meta addr =
+  let k = th.n_acc in
+  if k + 2 > Array.length th.acc then begin
+    let a = Array.make (2 * Array.length th.acc) 0 in
+    Array.blit th.acc 0 a 0 k;
+    th.acc <- a
+  end;
+  th.acc.(k) <- meta;
+  th.acc.(k + 1) <- addr;
+  th.n_acc <- k + 2
+
+let staged_accesses th =
+  Array.init (th.n_acc / 2) (fun k ->
+      let meta = th.acc.(2 * k) in
+      {
+        Event.ioff = meta lsr 5;
+        addr = th.acc.((2 * k) + 1);
+        size = (meta lsr 1) land 15;
+        is_store = meta land 1 = 1;
+      })
+
+let mask_of = function
+  | Width.W8 -> -1
+  | Width.W4 -> 0xffffffff
+  | Width.W2 -> 0xffff
+  | Width.W1 -> 0xff
+
+let lower_addr (m : Operand.mem) : int array -> int =
+  let d = m.disp in
+  match (m.base, m.index) with
+  | None, None -> fun _ -> d
+  | Some b, None -> fun regs -> regs.(b) + d
+  | None, Some (i, s) -> fun regs -> (regs.(i) * s) + d
+  | Some b, Some (i, s) -> fun regs -> regs.(b) + (regs.(i) * s) + d
+
+(* A source operand: registers and immediates read truncated to the width;
+   memory records a load, then reads [width] bytes (zero-extended). *)
+let lower_src mem ~ioff width (op : Operand.t) : thread -> int =
+  let mask = mask_of width in
+  match op with
+  | Operand.Reg r -> fun th -> th.regs.(r) land mask
+  | Operand.Imm n ->
+      let v = n land mask in
+      fun _ -> v
+  | Operand.Mem mm ->
+      let addr = lower_addr mm
+      and meta = meta ~ioff ~size:(Width.bytes width) ~is_store:false in
+      fun th ->
+        let a = addr th.regs in
+        record th meta a;
+        Memory.load mem ~width a
+
+(* A destination operand: registers take the value truncated to the
+   width; memory records a store, then writes [width] bytes. *)
+let lower_dst mem ~ioff width (op : Operand.t) : thread -> int -> unit =
+  match op with
+  | Operand.Reg r ->
+      let mask = mask_of width in
+      fun th v -> th.regs.(r) <- v land mask
+  | Operand.Mem mm ->
+      let addr = lower_addr mm
+      and meta = meta ~ioff ~size:(Width.bytes width) ~is_store:true in
+      fun th v ->
+        let a = addr th.regs in
+        record th meta a;
+        Memory.store mem ~width a v
+  | Operand.Imm _ -> fun th _ -> errf "thread %d: store to immediate operand" th.tid
+
+(* The value a lock primitive names: memory operands denote their address
+   (like [lea]); registers and immediates denote their value. *)
+let lower_target (op : Operand.t) : thread -> int =
+  match op with
+  | Operand.Mem mm ->
+      let addr = lower_addr mm in
+      fun th -> addr th.regs
+  | Operand.Reg r -> fun th -> th.regs.(r)
+  | Operand.Imm n -> fun _ -> n
+
+(* [Op.eval_binop op], resolved to the operator's own function. *)
+let binop_fn : Op.binop -> int -> int -> int = function
+  | Op.Add | Op.Fadd -> ( + )
+  | Op.Sub | Op.Fsub -> ( - )
+  | Op.Mul | Op.Fmul -> ( * )
+  | Op.Div | Op.Fdiv -> fun a b -> if b = 0 then 0 else a / b
+  | Op.Rem -> fun a b -> if b = 0 then 0 else a mod b
+  | Op.And -> ( land )
+  | Op.Or -> ( lor )
+  | Op.Xor -> ( lxor )
+  | Op.Shl -> fun a b -> a lsl (b land 63)
+  | Op.Shr -> fun a b -> a lsr (b land 63)
+  | Op.Sar -> fun a b -> a asr (b land 63)
+  | Op.Min -> Int.min
+  | Op.Max -> Int.max
+
+let lower_mov mem ~ioff w (dst : Operand.t) (src : Operand.t) : thread -> unit =
+  let mask = mask_of w in
+  match (dst, src) with
+  | Operand.Reg r, Operand.Reg s -> fun th -> th.regs.(r) <- th.regs.(s) land mask
+  | Operand.Reg r, Operand.Imm n ->
+      let v = n land mask in
+      fun th -> th.regs.(r) <- v
+  | Operand.Reg r, Operand.Mem mm ->
+      let addr = lower_addr mm
+      and meta = meta ~ioff ~size:(Width.bytes w) ~is_store:false in
+      fun th ->
+        let a = addr th.regs in
+        record th meta a;
+        th.regs.(r) <- Memory.load mem ~width:w a
+  | _ ->
+      let src = lower_src mem ~ioff w src and dst = lower_dst mem ~ioff w dst in
+      fun th -> dst th (src th)
+
+let lower_binop mem ~ioff op w (dst : Operand.t) (src : Operand.t) :
+    thread -> unit =
+  let mask = mask_of w in
+  match (op, dst, src) with
+  | (Op.Add | Op.Fadd), Operand.Reg r, Operand.Imm n ->
+      let n = n land mask in
+      fun th -> th.regs.(r) <- ((th.regs.(r) land mask) + n) land mask
+  | (Op.Add | Op.Fadd), Operand.Reg r, Operand.Reg s ->
+      fun th ->
+        let regs = th.regs in
+        regs.(r) <- ((regs.(r) land mask) + (regs.(s) land mask)) land mask
+  | (Op.Sub | Op.Fsub), Operand.Reg r, Operand.Imm n ->
+      let n = n land mask in
+      fun th -> th.regs.(r) <- ((th.regs.(r) land mask) - n) land mask
+  | _, Operand.Reg r, (Operand.Reg _ | Operand.Imm _) ->
+      let f = binop_fn op and src = lower_src mem ~ioff w src in
+      fun th -> th.regs.(r) <- f (th.regs.(r) land mask) (src th) land mask
+  | _ ->
+      let f = binop_fn op
+      and src = lower_src mem ~ioff w src
+      and read = lower_src mem ~ioff w dst
+      and write = lower_dst mem ~ioff w dst in
+      fun th ->
+        let b = src th in
+        let a = read th in
+        write th (f a b land mask)
+
+let lower_cmp mem ~ioff w (x : Operand.t) (y : Operand.t) : thread -> unit =
+  let mask = mask_of w in
+  match (x, y) with
+  | Operand.Reg a, Operand.Reg b ->
+      fun th ->
+        th.fa <- th.regs.(a) land mask;
+        th.fb <- th.regs.(b) land mask
+  | Operand.Reg a, Operand.Imm n ->
+      let n = n land mask in
+      fun th ->
+        th.fa <- th.regs.(a) land mask;
+        th.fb <- n
+  | _ ->
+      let x = lower_src mem ~ioff w x and y = lower_src mem ~ioff w y in
+      fun th ->
+        th.fa <- x th;
+        th.fb <- y th
+
+(* [if Cond.eval c fa fb then taken else Next], resolved per condition. *)
+let lower_branch (c : Cond.t) taken : thread -> outcome =
+  match c with
+  | Cond.Eq -> fun th -> if th.fa = th.fb then taken else Next
+  | Cond.Ne -> fun th -> if th.fa <> th.fb then taken else Next
+  | Cond.Lt -> fun th -> if th.fa < th.fb then taken else Next
+  | Cond.Le -> fun th -> if th.fa <= th.fb then taken else Next
+  | Cond.Gt -> fun th -> if th.fa > th.fb then taken else Next
+  | Cond.Ge -> fun th -> if th.fa >= th.fb then taken else Next
+
+let next f th =
+  f th;
+  Next
+
+let lower_instr mem ~ioff (instr : (int, int) Instr.t) : thread -> outcome =
+  match instr with
+  | Instr.Mov (w, dst, src) -> next (lower_mov mem ~ioff w dst src)
+  | Instr.Cmov (c, dst, src) -> (
+      let src = lower_src mem ~ioff Width.W8 src in
+      match dst with
+      | Operand.Reg r ->
+          fun th ->
+            let v = src th in
+            if Cond.eval c th.fa th.fb then th.regs.(r) <- v;
+            Next
+      | Operand.Imm _ | Operand.Mem _ ->
+          fun th ->
+            ignore (src th);
+            errf "thread %d: cmov destination must be a register" th.tid)
+  | Instr.Lea (r, mm) ->
+      let addr = lower_addr mm in
+      fun th ->
+        th.regs.(r) <- addr th.regs;
+        Next
+  | Instr.Binop (op, w, dst, src) -> next (lower_binop mem ~ioff op w dst src)
+  | Instr.Unop (op, w, dst) ->
+      let mask = mask_of w
+      and read = lower_src mem ~ioff w dst
+      and write = lower_dst mem ~ioff w dst in
+      fun th ->
+        write th (Op.eval_unop op (read th) land mask);
+        Next
+  | Instr.Cmp (w, x, y) -> next (lower_cmp mem ~ioff w x y)
+  | Instr.Jcc (c, target) -> lower_branch c (Goto target)
+  | Instr.Jmp target ->
+      let o = Goto target in
+      fun _ -> o
+  | Instr.Call f ->
+      let o = Do_call f in
+      fun _ -> o
+  | Instr.Ret -> fun _ -> Do_ret
+  | Instr.Lock_acquire op ->
+      let target = lower_target op in
+      fun th -> Do_lock (target th)
+  | Instr.Lock_release op ->
+      let target = lower_target op in
+      fun th -> Do_unlock (target th)
+  | Instr.Atomic_rmw (op, w, mm, src) ->
+      let f = binop_fn op
+      and mask = mask_of w
+      and src = lower_src mem ~ioff w src
+      and addr = lower_addr mm
+      and ld = meta ~ioff ~size:(Width.bytes w) ~is_store:false
+      and st = meta ~ioff ~size:(Width.bytes w) ~is_store:true in
+      fun th ->
+        let b = src th in
+        let a = addr th.regs in
+        record th ld a;
+        let v = Memory.load mem ~width:w a in
+        record th st a;
+        Memory.store mem ~width:w a (f v b land mask);
+        Next
+  | Instr.Io (_, cost) ->
+      let cost = lower_src mem ~ioff Width.W8 cost in
+      fun th -> Do_io (cost th)
+  | Instr.Barrier op ->
+      let target = lower_target op in
+      fun th -> Do_barrier (target th)
+  | Instr.Halt -> fun _ -> Do_halt
+
+(* An instruction before the block's last: only its effect matters (a
+   terminator there still evaluates its operand, as the block's outcome is
+   the last instruction's). *)
+let lower_effect mem ~ioff (instr : (int, int) Instr.t) : thread -> unit =
+  match instr with
+  | Instr.Mov (w, dst, src) -> lower_mov mem ~ioff w dst src
+  | Instr.Binop (op, w, dst, src) -> lower_binop mem ~ioff op w dst src
+  | Instr.Cmp (w, x, y) -> lower_cmp mem ~ioff w x y
+  | _ ->
+      let f = lower_instr mem ~ioff instr in
+      fun th -> ignore (f th)
+
+let lower_block mem ~func ~block (b : Program.block) =
+  let instrs = b.Program.instrs in
+  let n = Array.length instrs in
+  {
+    body =
+      Array.init (max 0 (n - 1)) (fun ioff -> lower_effect mem ~ioff instrs.(ioff));
+    term =
+      (if n = 0 then fun _ -> Next else lower_instr mem ~ioff:(n - 1) instrs.(n - 1));
+    n_instr = n;
+    plain =
+      Event.Block { func; block; n_instr = n; accesses = Event.no_accesses };
+  }
+
 type t = {
   prog : Program.t;
   mem : Memory.t;
@@ -80,6 +379,7 @@ type t = {
   locks : (int, lock) Hashtbl.t;
   barriers : (int, barrier) Hashtbl.t;
   untraced : bool array; (* per function id *)
+  code : code array array; (* lowered blocks, per function, per block *)
   mutable instr_count : int;
   mutable slot : int;
 }
@@ -95,13 +395,21 @@ let create ?(config = default_config) prog =
   List.iter
     (fun name -> untraced.(Program.find_func prog name) <- true)
     config.untraced_functions;
+  let mem = Memory.create () in
   {
     prog;
-    mem = Memory.create ();
+    mem;
     config;
     locks = Hashtbl.create 64;
     barriers = Hashtbl.create 8;
     untraced;
+    code =
+      Array.map
+        (fun (f : Program.func) ->
+          Array.mapi
+            (fun block b -> lower_block mem ~func:f.Program.fid ~block b)
+            f.Program.blocks)
+        prog.Program.funcs;
     instr_count = 0;
     slot = 0;
   }
@@ -111,108 +419,7 @@ let memory t = t.mem
 let instrs_executed t = t.instr_count
 
 (* ---------------------------------------------------------------- *)
-(* Interpreter                                                       *)
-
-let dummy_access = { Event.ioff = 0; addr = 0; size = 0; is_store = false }
-
-let trunc width v =
-  match width with
-  | Width.W8 -> v
-  | Width.W4 -> v land 0xffffffff
-  | Width.W2 -> v land 0xffff
-  | Width.W1 -> v land 0xff
-
-let mem_addr th (m : Operand.mem) =
-  let base = match m.base with Some r -> th.regs.(r) | None -> 0 in
-  let index = match m.index with Some (r, s) -> th.regs.(r) * s | None -> 0 in
-  base + index + m.disp
-
-let record th ioff addr size is_store =
-  Vec.push th.accesses { Event.ioff; addr; size; is_store }
-
-let eval_src m th ioff width (op : Operand.t) =
-  match op with
-  | Operand.Reg r -> trunc width th.regs.(r)
-  | Operand.Imm n -> trunc width n
-  | Operand.Mem mm ->
-      let addr = mem_addr th mm in
-      record th ioff addr (Width.bytes width) false;
-      Memory.load m.mem ~width addr
-
-let store_dst m th ioff width (op : Operand.t) v =
-  match op with
-  | Operand.Reg r -> th.regs.(r) <- trunc width v
-  | Operand.Mem mm ->
-      let addr = mem_addr th mm in
-      record th ioff addr (Width.bytes width) true;
-      Memory.store m.mem ~width addr v
-  | Operand.Imm _ -> errf "thread %d: store to immediate operand" th.tid
-
-(* The value a lock primitive names: memory operands denote their address
-   (like [lea]); registers and immediates denote their value. *)
-let lock_target th (op : Operand.t) =
-  match op with
-  | Operand.Mem mm -> mem_addr th mm
-  | Operand.Reg r -> th.regs.(r)
-  | Operand.Imm n -> n
-
-type outcome =
-  | Next
-  | Goto of int
-  | Do_call of int
-  | Do_ret
-  | Do_lock of int
-  | Do_unlock of int
-  | Do_io of int
-  | Do_barrier of int
-  | Do_halt
-
-let exec_instr m th ioff (instr : (int, int) Instr.t) : outcome =
-  match instr with
-  | Instr.Mov (w, dst, src) ->
-      let v = eval_src m th ioff w src in
-      store_dst m th ioff w dst v;
-      Next
-  | Instr.Cmov (c, dst, src) ->
-      let v = eval_src m th ioff Width.W8 src in
-      (match dst with
-      | Operand.Reg r -> if Cond.eval c th.fa th.fb then th.regs.(r) <- v
-      | Operand.Imm _ | Operand.Mem _ ->
-          errf "thread %d: cmov destination must be a register" th.tid);
-      Next
-  | Instr.Lea (r, mm) ->
-      th.regs.(r) <- mem_addr th mm;
-      Next
-  | Instr.Binop (op, w, dst, src) ->
-      let b = eval_src m th ioff w src in
-      let a = eval_src m th ioff w dst in
-      store_dst m th ioff w dst (trunc w (Op.eval_binop op a b));
-      Next
-  | Instr.Unop (op, w, dst) ->
-      let a = eval_src m th ioff w dst in
-      store_dst m th ioff w dst (trunc w (Op.eval_unop op a));
-      Next
-  | Instr.Cmp (w, x, y) ->
-      th.fa <- eval_src m th ioff w x;
-      th.fb <- eval_src m th ioff w y;
-      Next
-  | Instr.Jcc (c, target) -> if Cond.eval c th.fa th.fb then Goto target else Next
-  | Instr.Jmp target -> Goto target
-  | Instr.Call f -> Do_call f
-  | Instr.Ret -> Do_ret
-  | Instr.Lock_acquire op -> Do_lock (lock_target th op)
-  | Instr.Lock_release op -> Do_unlock (lock_target th op)
-  | Instr.Atomic_rmw (op, w, mm, src) ->
-      let b = eval_src m th ioff w src in
-      let addr = mem_addr th mm in
-      record th ioff addr (Width.bytes w) false;
-      let a = Memory.load m.mem ~width:w addr in
-      record th ioff addr (Width.bytes w) true;
-      Memory.store m.mem ~width:w addr (trunc w (Op.eval_binop op a b));
-      Next
-  | Instr.Io (_, cost) -> Do_io (eval_src m th ioff Width.W8 cost)
-  | Instr.Barrier op -> Do_barrier (lock_target th op)
-  | Instr.Halt -> Do_halt
+(* Execution                                                         *)
 
 let emit m th e =
   if m.config.trace && th.suppress_depth = 0 then
@@ -261,33 +468,30 @@ let find_lock m addr =
    terminator's control effect.  Returns unit; thread state tells the
    scheduler what happened. *)
 let run_block m threads th =
-  let f = m.prog.Program.funcs.(th.fid) in
-  let blocks = f.Program.blocks in
-  if th.bid >= Array.length blocks then
-    errf "thread %d: fell off the end of %s" th.tid f.Program.name;
-  let b = blocks.(th.bid) in
-  let n = Array.length b.Program.instrs in
+  let code = m.code.(th.fid) in
+  if th.bid >= Array.length code then
+    errf "thread %d: fell off the end of %s" th.tid
+      m.prog.Program.funcs.(th.fid).Program.name;
+  let c = code.(th.bid) in
+  let n = c.n_instr in
   m.instr_count <- m.instr_count + n;
   if m.instr_count > m.config.max_instrs then
     errf "instruction budget exceeded (%d): runaway program?"
       m.config.max_instrs;
   if th.suppress_depth > 0 then th.suppressed_instrs <- th.suppressed_instrs + n;
-  Vec.clear th.accesses;
-  let outcome = ref Next in
-  for ioff = 0 to n - 1 do
-    outcome := exec_instr m th ioff b.Program.instrs.(ioff)
+  th.n_acc <- 0;
+  let body = c.body in
+  for i = 0 to Array.length body - 1 do
+    body.(i) th
   done;
-  emit m th
-    (Event.Block
-       {
-         func = th.fid;
-         block = th.bid;
-         n_instr = n;
-         accesses =
-           (if Vec.is_empty th.accesses then Event.no_accesses
-            else Vec.to_array th.accesses);
-       });
-  match !outcome with
+  let outcome = c.term th in
+  if m.config.trace && th.suppress_depth = 0 then
+    Thread_trace.Builder.emit th.builder
+      (if th.n_acc = 0 then c.plain
+       else
+         Event.Block
+           { func = th.fid; block = th.bid; n_instr = n; accesses = staged_accesses th });
+  match outcome with
   | Next -> th.bid <- th.bid + 1
   | Goto target -> th.bid <- target
   | Do_call callee ->
@@ -384,7 +588,8 @@ let make_thread m ~trace ~tid ~fid ~args =
     callstack = Vec.create (0, 0);
     state = Ready;
     builder = Thread_trace.Builder.create tid;
-    accesses = Vec.create dummy_access;
+    acc = Array.make 16 0;
+    n_acc = 0;
     pending_wake = None;
     blocked_since = 0;
     suppress_depth = 0;

@@ -329,30 +329,42 @@ module Histogram = struct
             order := name :: !order;
             h)
 
-  (* Hot path (one call per memory instruction when enabled): plain
-     lock/unlock like [record] — no closure, no [Fun.protect].  The body
-     cannot raise (growth is bounded by [cap]). *)
+  (* Callers hold [lock].  Cannot raise (growth is bounded by [cap]). *)
+  let add_sample h x =
+    h.count <- h.count + 1;
+    h.sum <- h.sum +. x;
+    if h.n = Array.length h.samples then
+      if h.n < cap then begin
+        let bigger = Array.make (2 * h.n) 0.0 in
+        Array.blit h.samples 0 bigger 0 h.n;
+        h.samples <- bigger
+      end
+      else begin
+        (* decimate: keep every other sample *)
+        let m = h.n / 2 in
+        for i = 0 to m - 1 do
+          h.samples.(i) <- h.samples.(2 * i)
+        done;
+        h.n <- m
+      end;
+    h.samples.(h.n) <- x;
+    h.n <- h.n + 1
+
+  (* Plain lock/unlock like [record] — no closure, no [Fun.protect]: the
+     body cannot raise. *)
   let observe h x =
     if !enabled then begin
       Mutex.lock lock;
-      h.count <- h.count + 1;
-      h.sum <- h.sum +. x;
-      if h.n = Array.length h.samples then
-        if h.n < cap then begin
-          let bigger = Array.make (2 * h.n) 0.0 in
-          Array.blit h.samples 0 bigger 0 h.n;
-          h.samples <- bigger
-        end
-        else begin
-          (* decimate: keep every other sample *)
-          let m = h.n / 2 in
-          for i = 0 to m - 1 do
-            h.samples.(i) <- h.samples.(2 * i)
-          done;
-          h.n <- m
-        end;
-      h.samples.(h.n) <- x;
-      h.n <- h.n + 1;
+      add_sample h x;
+      Mutex.unlock lock
+    end
+
+  let observe_many h xs n =
+    if !enabled && n > 0 then begin
+      Mutex.lock lock;
+      for i = 0 to n - 1 do
+        add_sample h xs.(i)
+      done;
       Mutex.unlock lock
     end
 

@@ -114,6 +114,12 @@ module Histogram : sig
 
   val make : ?help:string -> string -> t
   val observe : t -> float -> unit
+
+  val observe_many : t -> float array -> int -> unit
+  (** [observe_many h xs n] observes [xs.(0)] .. [xs.(n-1)] in order under
+      one lock acquisition — for hot loops that stage their samples and
+      hand them over in batches. *)
+
   val count : t -> int
   val sum : t -> float
 
