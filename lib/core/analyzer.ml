@@ -727,21 +727,23 @@ module Session = struct
     s_bounds : Validate.bounds;
     s_dec : Stream.t;
     s_tmp_dir : string option;
-    (* The spool: every ingested thread re-framed in [Stream]'s format
-       (no magic), newest frames in [s_buf], older ones spilled to a temp
-       file once the in-memory tail passes half the budget.  Threads with
-       validation errors are spooled too: quarantine is by tid and a
-       clean thread sharing a tid with a later bad one must still be
-       excluded, exactly as [Validate.quarantine] does. *)
-    s_buf : Buffer.t;
+    (* The spool: every ingested thread in ingest order.  The newest are
+       kept decoded in [s_tail]; once the tail's heap size passes half the
+       budget it is framed in [Stream]'s format (no magic) onto a temp
+       file, which holds the older threads.  Threads with validation
+       errors are spooled too: quarantine is by tid and a clean thread
+       sharing a tid with a later bad one must still be excluded, exactly
+       as [Validate.quarantine] does. *)
+    mutable s_tail : Thread_trace.t list; (* newest first *)
+    mutable s_tail_bytes : int; (* [Thread_trace.heap_bytes] of [s_tail] *)
     mutable s_file : (string * out_channel) option;
-    mutable s_spilled : int;
+    mutable s_spilled : int; (* encoded bytes written to the spill file *)
     (* Per-thread metadata, newest first (O(threads), not O(bytes)). *)
     mutable s_n : int;
     mutable s_tids : int list;
     mutable s_seqs : int list list; (* barrier sequences, for the vote *)
     mutable s_events : int list; (* event count per thread *)
-    mutable s_sizes : int list; (* spooled frame bytes per thread *)
+    mutable s_sizes : int list; (* heap bytes per thread *)
     mutable s_diags : (int * Tf_error.diagnostic list) list;
         (* (ingest index, per-thread diagnostics newest-first); only
            threads that produced any *)
@@ -768,7 +770,8 @@ module Session = struct
       s_bounds = bounds_of_program prog;
       s_dec = Stream.create ~max_frame_bytes:max_frame ();
       s_tmp_dir = tmp_dir;
-      s_buf = Buffer.create 4096;
+      s_tail = [];
+      s_tail_bytes = 0;
       s_file = None;
       s_spilled = 0;
       s_n = 0;
@@ -782,7 +785,7 @@ module Session = struct
       s_phase = Ingest;
     }
 
-  let buffered_bytes t = Stream.buffered t.s_dec + Buffer.length t.s_buf
+  let buffered_bytes t = Stream.buffered t.s_dec + t.s_tail_bytes
   let spilled_bytes t = t.s_spilled
   let bytes_ingested t = Stream.bytes_fed t.s_dec
   let threads_ingested t = t.s_n
@@ -793,6 +796,8 @@ module Session = struct
      covers the decoder's reassembly buffer and the replay batch. *)
   let spill_at t = max 65536 (t.s_budget / 2)
 
+  (* Frame the tail onto the spill file, oldest first, through a buffer
+     written out whenever it reaches 64 KiB. *)
   let spill t =
     let oc =
       match t.s_file with
@@ -805,9 +810,20 @@ module Session = struct
           t.s_file <- Some (path, oc);
           oc
     in
-    Buffer.output_buffer oc t.s_buf;
-    t.s_spilled <- t.s_spilled + Buffer.length t.s_buf;
-    Buffer.clear t.s_buf
+    let buf = Buffer.create 65536 in
+    let write () =
+      Buffer.output_buffer oc buf;
+      t.s_spilled <- t.s_spilled + Buffer.length buf;
+      Buffer.clear buf
+    in
+    List.iter
+      (fun tr ->
+        Stream.add_thread buf tr;
+        if Buffer.length buf >= 65536 then write ())
+      (List.rev t.s_tail);
+    write ();
+    t.s_tail <- [];
+    t.s_tail_bytes <- 0
 
   let require_ingest t what =
     match t.s_phase with
@@ -824,11 +840,12 @@ module Session = struct
     t.s_events <- Array.length trace.Thread_trace.events :: t.s_events;
     (let diags = Validate.thread ~bounds:t.s_bounds trace in
      if diags <> [] then t.s_diags <- (t.s_n, diags) :: t.s_diags);
-    let before = Buffer.length t.s_buf in
-    Stream.add_thread t.s_buf trace;
-    t.s_sizes <- (Buffer.length t.s_buf - before) :: t.s_sizes;
+    let bytes = Thread_trace.heap_bytes trace in
+    t.s_sizes <- bytes :: t.s_sizes;
+    t.s_tail <- trace :: t.s_tail;
+    t.s_tail_bytes <- t.s_tail_bytes + bytes;
     t.s_n <- t.s_n + 1;
-    if Buffer.length t.s_buf > spill_at t then spill t
+    if t.s_tail_bytes > spill_at t then spill t
 
   let feed t ?off ?len chunk =
     require_ingest t "feed";
@@ -850,9 +867,9 @@ module Session = struct
       done
     end
 
-  (* Iterate the spooled frames in ingest order — the spill file (oldest)
-     then the in-memory tail — re-decoded through a bounded decoder, so
-     the pass holds one frame plus one chunk, never the spool. *)
+  (* Iterate the spooled threads in ingest order: the spill file (oldest),
+     re-decoded through a bounded decoder that holds one frame plus one
+     chunk, then the in-memory tail as it is. *)
   let iter_spool t f =
     let dec =
       Stream.create ~max_frame_bytes:t.s_max_frame ~expect_magic:false ()
@@ -864,7 +881,7 @@ module Session = struct
         | Stream.Need_more -> continue_ := false
         | Stream.Frame tr -> f tr
         | Stream.End_of_stream | Stream.Corrupt _ ->
-            (* the spool is written only by [add_thread]: well-formed
+            (* the spill file is written only by [spill]: well-formed
                thread frames, no end frame *)
             assert false
       done
@@ -887,8 +904,7 @@ module Session = struct
             in
             go ())
     | None -> ());
-    Stream.feed dec (Buffer.contents t.s_buf);
-    drain ()
+    List.iter f (List.rev t.s_tail)
 
   (* The streaming equivalent of [analyze_checked]'s body.  Barrier vote
      over the retained sequences -> quarantine by tid (exactly
@@ -976,8 +992,8 @@ module Session = struct
       in
       let failures = ref [] in
       let io = ref 0 and spin = ref 0 and excluded = ref 0 in
-      (* pass B: warp-aligned batches of roughly a budget's worth of
-         decoded trace, replayed over the domain pool *)
+      (* pass B: warp-aligned batches of roughly half a budget of decoded
+         trace (heap bytes), replayed over the domain pool *)
       let batch_target = max 65536 (t.s_budget / 2) in
       let batch = ref [] and batch_n = ref 0 and batch_bytes = ref 0 in
       let base = ref 0 in
@@ -1128,7 +1144,9 @@ module Session = struct
         (try close_out oc with Sys_error _ -> ());
         (try Sys.remove path with Sys_error _ -> ())
     | None -> ());
-    t.s_file <- None
+    t.s_file <- None;
+    t.s_tail <- [];
+    t.s_tail_bytes <- 0
 
   let finish t : checked =
     match t.s_phase with
@@ -1143,11 +1161,9 @@ module Session = struct
         in
         t.s_phase <- Finished c;
         remove_spool t;
-        Buffer.reset t.s_buf;
         c
 
   let close t =
     remove_spool t;
-    Buffer.reset t.s_buf;
     t.s_phase <- (match t.s_phase with Finished c -> Finished c | _ -> Closed)
 end

@@ -107,18 +107,22 @@ val analyze_checked :
     byte-identical to {!analyze_checked} over the same traces — at any
     chunking, any session budget and any [options.domains].  Memory is
     bounded by the per-session budget, not the trace length: ingested
-    threads are re-framed into a spool that spills to a temp file, and
-    the finishing replay streams warp-aligned batches of roughly half a
-    budget back out of it.  Used by [threadfuser serve]
-    (docs/robustness.md §8). *)
+    threads stay decoded in memory, charged at their heap size
+    ({!Threadfuser_trace.Thread_trace.heap_bytes}), until they pass half
+    the budget; then they are framed onto a temp spill file.  The
+    finishing replay reads the spill file back, then the in-memory
+    threads, in warp-aligned batches of roughly half a budget of decoded
+    trace.  A session that never spills encodes and re-decodes nothing.
+    Used by [threadfuser serve] (docs/robustness.md §8). *)
 module Session : sig
   type t
 
   (** Default per-session budget (64 MiB). *)
   val default_budget : int
 
-  (** [create prog] starts a session.  [budget_bytes] bounds both the
-      in-memory spool tail and a single stream frame (at least 64 KiB);
+  (** [create prog] starts a session.  [budget_bytes] bounds the heap
+      held by in-memory threads (they spill once they pass half of it, or
+      64 KiB if that is more) and a single stream frame (at least 64 KiB);
       [tmp_dir] hosts the spill file (default: [Filename.temp_dir_name]).
       @raise Invalid_argument if [budget_bytes <= 0] or
         [options.batching] is not [Sequential] (other policies need every
@@ -138,7 +142,9 @@ module Session : sig
       discarded, so a hostile stream cannot grow the session. *)
   val feed : t -> ?off:int -> ?len:int -> string -> unit
 
-  (** Ingest an already-decoded thread directly (in-process use). *)
+  (** Ingest an already-decoded thread directly (in-process use).  The
+      session holds the trace as given, not a copy, until it spills or
+      the session finishes. *)
   val add_thread : t -> Threadfuser_trace.Thread_trace.t -> unit
 
   (** The stream's end frame has been consumed. *)
@@ -150,11 +156,15 @@ module Session : sig
   val threads_ingested : t -> int
   val bytes_ingested : t -> int
 
-  (** Bytes currently held in memory (decoder reassembly + spool tail) —
-      the quantity the budget bounds. *)
+  (** Bytes currently held in memory: the decoder's reassembly buffer plus
+      the heap size of the threads not yet spilled — the quantity the
+      budget bounds.  A machine-produced trace may share events with
+      others, so this can overstate what it keeps alive, never
+      understate it. *)
   val buffered_bytes : t -> int
 
-  (** Bytes moved to the spill file so far. *)
+  (** Encoded bytes written to the spill file so far; 0 for a session
+      that stayed under half its budget, which creates no file. *)
   val spilled_bytes : t -> int
 
   (** Rolling report over the threads ingested so far (the warp-trace and

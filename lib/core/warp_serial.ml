@@ -203,26 +203,31 @@ let classes =
     Opclass.
       [| Ialu; Imul; Idiv; Falu; Fmul; Fdiv; Load; Store; Branch; Callret; Sync |]
 
+(* [name] is at [start] of [s] (which has room for it) *)
+let rec same_at s start name j =
+  j = String.length name
+  || (name.[j] = s.[start + j] && same_at s start name (j + 1))
+
+(* the first of [classes] from [i] on whose name is the whole field at
+   [start]; the cursor moves past it *)
+let rec find_class c start i =
+  if i = Array.length classes then
+    fail "unknown op class %S" (field_text c start)
+  else
+    let name, cls = classes.(i) in
+    let s = c.s and k = String.length name in
+    if
+      start + k <= String.length s
+      && same_at s start name 0
+      && (start + k = String.length s || is_sep s.[start + k])
+    then begin
+      c.pos <- start + k;
+      cls
+    end
+    else find_class c start (i + 1)
+
 (* match the op class name in place, without building a token string *)
-let op_class c =
-  let s = c.s and start = c.pos in
-  let rec find i =
-    if i = Array.length classes then fail "unknown op class %S" (field_text c start)
-    else
-      let name, cls = classes.(i) in
-      let k = String.length name in
-      let rec same j = j = k || (name.[j] = s.[start + j] && same (j + 1)) in
-      if
-        start + k <= String.length s
-        && same 0
-        && (start + k = String.length s || is_sep s.[start + k])
-      then begin
-        c.pos <- start + k;
-        cls
-      end
-      else find (i + 1)
-  in
-  find 0
+let op_class c = find_class c c.pos 0
 
 (* The smallest encodings of what the counts count, which bound them by
    the bytes left: a source register is [" 0"]; an op line is

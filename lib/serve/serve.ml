@@ -755,10 +755,13 @@ let session_json svc t (s : sess) =
     Mutex.unlock svc.mutex;
     qb
   in
-  let threads, spilled =
+  let threads, held, spilled =
     match s.session with
-    | None -> (0, 0)
-    | Some sn -> (Session.threads_ingested sn, Session.spilled_bytes sn)
+    | None -> (0, 0, 0)
+    | Some sn ->
+        ( Session.threads_ingested sn,
+          Session.buffered_bytes sn,
+          Session.spilled_bytes sn )
   in
   Json.Obj
     [
@@ -768,6 +771,7 @@ let session_json svc t (s : sess) =
       ("age_s", Json.Float (t -. s.accepted_wall));
       ("bytes_ingested", Json.Int s.bytes_in);
       ("threads", Json.Int threads);
+      ("held_bytes", Json.Int held);
       ("spilled_bytes", Json.Int spilled);
       ("budget_bytes", Json.Int svc.cfg.session_quota);
       ("queue_bytes", Json.Int queue_bytes);

@@ -61,15 +61,15 @@ let read_byte r =
 (* The writer emits at most ceil(63/7) = 9 groups, so a continuation bit
    past shift 56 (i.e. a 10th byte) can only come from corrupt input; the
    bound also keeps [lsl] inside the word size (shifting an OCaml int by
-   >= Sys.int_size is undefined). *)
-let read_uint r =
-  let rec go shift acc =
-    let b = read_byte r in
-    if shift >= 63 then raise (Corrupt "overlong varint");
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 <> 0 then go (shift + 7) acc else acc
-  in
-  go 0 0
+   >= Sys.int_size is undefined).  A top-level loop, not a local closure:
+   this runs once per varint and would otherwise allocate one each time. *)
+let rec read_uint_from r shift acc =
+  let b = read_byte r in
+  if shift >= 63 then raise (Corrupt "overlong varint");
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b land 0x80 <> 0 then read_uint_from r (shift + 7) acc else acc
+
+let read_uint r = read_uint_from r 0 0
 
 let read_int = read_uint
 
@@ -125,6 +125,13 @@ let write_event buf (e : Event.t) =
       write_uint buf 6;
       write_int buf a
 
+let read_access r : Event.access =
+  let ioff = read_uint r in
+  let addr = read_int r in
+  let size = read_uint r in
+  let is_store = read_uint r = 1 in
+  { Event.ioff; addr; size; is_store }
+
 let read_event r : Event.t =
   match read_uint r with
   | 0 ->
@@ -134,12 +141,15 @@ let read_event r : Event.t =
       (* an access is at least 4 varint bytes (ioff addr size is_store) *)
       let n_acc = read_count r ~min_bytes:4 "access" in
       let accesses =
-        Array.init n_acc (fun _ ->
-            let ioff = read_uint r in
-            let addr = read_int r in
-            let size = read_uint r in
-            let is_store = read_uint r = 1 in
-            { Event.ioff; addr; size; is_store })
+        if n_acc = 0 then [||]
+        else begin
+          let first = read_access r in
+          let a = Array.make n_acc first in
+          for i = 1 to n_acc - 1 do
+            a.(i) <- read_access r
+          done;
+          a
+        end
       in
       Event.Block { func; block; n_instr; accesses }
   | 1 -> Event.Call (read_uint r)

@@ -56,6 +56,27 @@ let stats t =
     barriers = !barriers;
   }
 
+(* Heap words of one event: its block (header + fields) plus, for a
+   [Block] with accesses, the access array (header + one pointer each)
+   and the access records.  Constant constructors are immediates; every
+   empty array is the one shared atom. *)
+let event_words (e : Event.t) =
+  match e with
+  | Event.Block b ->
+      let n = Array.length b.accesses in
+      5 + if n = 0 then 0 else 1 + (6 * n)
+  | Event.Call _ | Event.Lock_acq _ | Event.Lock_rel _ | Event.Barrier _ -> 2
+  | Event.Skip _ -> 3
+  | Event.Return -> 0
+
+let heap_bytes t =
+  (* the record, the event array, and the empty-array atom (one word) *)
+  let base = 3 + (1 + Array.length t.events) + 1 in
+  let words =
+    Array.fold_left (fun acc e -> acc + event_words e) base t.events
+  in
+  words * (Sys.word_size / 8)
+
 (** Mutable trace under construction; the machine appends as it executes. *)
 module Builder = struct
   type trace = t

@@ -16,6 +16,13 @@ type stats = {
 
 val stats : t -> stats
 
+val heap_bytes : t -> int
+(** The trace's size on the OCaml heap, from its structure in one walk
+    over the events: every event's block, access array and access records
+    counted as if unshared.  Matches [Obj.reachable_words] (in bytes) to
+    within one word for a decoded trace; an upper bound for one whose
+    blocks share events, as the machine's access-free [Block]s do. *)
+
 (** Mutable trace under construction; the machine appends as it executes. *)
 module Builder : sig
   type trace := t

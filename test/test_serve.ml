@@ -293,7 +293,20 @@ let test_admin_stats_scrape () =
                   (List.exists
                      (fun s ->
                        Json.member "state" s = Some (Json.String "reading"))
-                     ss)
+                     ss);
+                List.iter
+                  (fun s ->
+                    let sint k =
+                      match Option.bind (Json.member k s) Json.to_int_opt with
+                      | Some n -> n
+                      | None -> Alcotest.failf "session.%s not an int" k
+                    in
+                    let held = sint "held_bytes" in
+                    Alcotest.(check bool)
+                      (Printf.sprintf "held_bytes %d within budget_bytes" held)
+                      true
+                      (held >= 0 && held <= sint "budget_bytes"))
+                  ss
             | _ -> Alcotest.fail "sessions is not a list");
             (* Prometheus exposition from the same socket *)
             let prom =

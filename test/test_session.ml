@@ -210,6 +210,116 @@ let test_bounded_memory () =
     (Report_json.to_string c.Analyzer.result.Analyzer.report);
   Session.close s
 
+let dir_entries dir = Array.to_list (Sys.readdir dir)
+
+let with_dir f =
+  let dir = Filename.temp_dir "tfsession-test" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun e -> Sys.remove (Filename.concat dir e)) (dir_entries dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+(* A session that fits its budget never touches the disk: no spill file
+   is created, not even an empty one. *)
+let test_under_budget_no_file () =
+  with_dir (fun tmp_dir ->
+      let traced = W.trace_cpu (Registry.find "vectoradd") in
+      let options = options ~domains:1 in
+      let s = Session.create ~options ~tmp_dir traced.W.prog in
+      feed_chunked s (Stream.encode traced.W.traces) [ 4096 ];
+      Alcotest.(check int) "nothing spilled" 0 (Session.spilled_bytes s);
+      Alcotest.(check (list string)) "no file before finish" []
+        (dir_entries tmp_dir);
+      let c = Session.finish s in
+      Alcotest.(check (list string)) "no file after finish" []
+        (dir_entries tmp_dir);
+      check_equal ~tag:"under budget"
+        (Analyzer.analyze_checked ~options traced.W.prog traced.W.traces)
+        c)
+
+(* Several spills plus a non-empty in-memory tail at [finish]: the spool
+   must replay the spill file first and the tail after it, or the warps
+   form from reordered threads and the report changes. *)
+let test_spills_then_tail () =
+  with_dir (fun tmp_dir ->
+      let traced = W.trace_cpu ~threads:64 (Registry.find "hdsearch-mid") in
+      let options = options ~domains:2 in
+      let s =
+        Session.create ~options ~budget_bytes:(1024 * 1024) ~tmp_dir
+          traced.W.prog
+      in
+      let stream = Stream.encode traced.W.traces in
+      let spills = ref 0 and last = ref 0 and pos = ref 0 in
+      let n = String.length stream in
+      while !pos < n do
+        let len = min 4096 (n - !pos) in
+        Session.feed s ~off:!pos ~len stream;
+        if Session.spilled_bytes s > !last then begin
+          incr spills;
+          last := Session.spilled_bytes s
+        end;
+        pos := !pos + len
+      done;
+      Alcotest.(check bool) "input complete" true (Session.input_done s);
+      Alcotest.(check bool)
+        (Printf.sprintf "spilled at least twice (%d)" !spills)
+        true (!spills >= 2);
+      Alcotest.(check bool) "tail still in memory at finish" true
+        (Session.buffered_bytes s > 0);
+      Alcotest.(check int) "one spill file" 1
+        (List.length (dir_entries tmp_dir));
+      let c = Session.finish s in
+      Alcotest.(check (list string)) "spill file removed" []
+        (dir_entries tmp_dir);
+      check_equal ~tag:"file then tail"
+        (Analyzer.analyze_checked ~options traced.W.prog traced.W.traces)
+        c)
+
+(* [Thread_trace.heap_bytes] is what the session charges against its
+   budget.  On decoded traces (nothing shared) it must cover the words
+   the trace really keeps alive and overstate them by at most a quarter;
+   on the machine's traces, whose access-free blocks share one event, it
+   must still cover them, alone and as a session's in-memory tail. *)
+let test_heap_accounting () =
+  let word = Sys.word_size / 8 in
+  let reachable v = word * Obj.reachable_words (Obj.repr v) in
+  List.iter
+    (fun name ->
+      let traced = W.trace_cpu (Registry.find name) in
+      let decoded =
+        match Stream.decode (Stream.encode traced.W.traces) with
+        | Ok ts -> ts
+        | Error _ -> Alcotest.failf "%s: stream round trip failed" name
+      in
+      Array.iter
+        (fun (tr : Thread_trace.t) ->
+          let est = Thread_trace.heap_bytes tr and real = reachable tr in
+          if est < real || float_of_int est > 1.25 *. float_of_int real then
+            Alcotest.failf "%s tid %d decoded: heap_bytes %d vs reachable %d"
+              name tr.Thread_trace.tid est real)
+        decoded;
+      Array.iter
+        (fun (tr : Thread_trace.t) ->
+          let est = Thread_trace.heap_bytes tr and real = reachable tr in
+          if est < real then
+            Alcotest.failf "%s tid %d traced: heap_bytes %d < reachable %d"
+              name tr.Thread_trace.tid est real)
+        traced.W.traces;
+      let s = Session.create ~options:(options ~domains:1) traced.W.prog in
+      Array.iter (Session.add_thread s) traced.W.traces;
+      Alcotest.(check int) (name ^ ": nothing spilled") 0
+        (Session.spilled_bytes s);
+      let held = Session.buffered_bytes s in
+      let real =
+        reachable traced.W.traces - (word * (1 + Array.length traced.W.traces))
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: session holds %d >= reachable %d" name held real)
+        true (held >= real);
+      Session.close s)
+    [ "vectoradd"; "bfs"; "hdsearch-mid"; "uniqueid" ]
+
 (* Corruption mid-stream degrades the session, not the process: the
    sticky failure is reported, later chunks are discarded, and finish
    still analyzes the clean prefix. *)
@@ -302,7 +412,13 @@ let () =
           Alcotest.test_case "quarantine parity" `Quick test_quarantine_parity;
         ] );
       ( "bounded memory",
-        [ Alcotest.test_case "budget respected" `Quick test_bounded_memory ] );
+        [
+          Alcotest.test_case "budget respected" `Quick test_bounded_memory;
+          Alcotest.test_case "under budget leaves no file" `Quick
+            test_under_budget_no_file;
+          Alcotest.test_case "spill file then tail" `Quick test_spills_then_tail;
+          Alcotest.test_case "heap accounting" `Quick test_heap_accounting;
+        ] );
       ( "degradation",
         [
           Alcotest.test_case "corrupt mid-stream" `Quick test_corrupt_midstream;
